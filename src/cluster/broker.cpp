@@ -8,6 +8,25 @@
 
 namespace resex::cluster {
 
+namespace {
+
+/// Occupancy fraction in whatever unit a port accounts in: `bytes` against
+/// the byte cap (or the shared pool size) when byte occupancy is on, `pkts`
+/// against the packet cap otherwise; 0 for an infinite buffer.
+double occupancy_fraction(const fabric::FabricConfig& cfg, std::uint64_t bytes,
+                          std::uint64_t pkts) {
+  if (cfg.byte_occupancy()) {
+    const std::uint64_t cap_bytes = cfg.port_buffer_bytes > 0
+                                        ? cfg.port_buffer_bytes
+                                        : cfg.switch_pool_bytes;
+    return static_cast<double>(bytes) / static_cast<double>(cap_bytes);
+  }
+  if (cfg.port_buffer_pkts == 0) return 0.0;
+  return static_cast<double>(pkts) / cfg.port_buffer_pkts;
+}
+
+}  // namespace
+
 ClusterBroker::ClusterBroker(Cluster& cluster, core::ClusterExchange& exchange,
                              MigrationEngine& engine, BrokerConfig config)
     : cluster_(&cluster), exchange_(&exchange), engine_(&engine),
@@ -42,21 +61,8 @@ double ClusterBroker::port_congestion(const fabric::Channel& ch,
   const double loss_frac =
       offered <= 0.0 ? 0.0
                      : static_cast<double>(d_marks + d_drops) / offered;
-  // Occupancy fraction in whatever unit the port accounts in: bytes against
-  // the byte cap (or the shared pool size) when byte occupancy is on,
-  // packets against the packet cap otherwise.
-  const auto& cfg = ch.config();
-  double occ_frac = 0.0;
-  if (cfg.byte_occupancy()) {
-    const std::uint64_t cap_bytes = cfg.port_buffer_bytes > 0
-                                        ? cfg.port_buffer_bytes
-                                        : cfg.switch_pool_bytes;
-    occ_frac = static_cast<double>(ch.backlog_bytes()) /
-               static_cast<double>(cap_bytes);
-  } else if (cfg.port_buffer_pkts > 0) {
-    occ_frac = static_cast<double>(ch.backlog_packets()) /
-               cfg.port_buffer_pkts;
-  }
+  const double occ_frac = occupancy_fraction(
+      ch.config(), ch.backlog_bytes(), ch.backlog_packets());
   return std::min(1.0, std::max(loss_frac, occ_frac));
 }
 
@@ -142,22 +148,11 @@ void ClusterBroker::post_quotes() {
     // the lane the broker shops for.
     const auto& fcfg = cluster_->fabric().config();
     if (fcfg.qos_enabled) {
+      const auto& down_ch = hca.downlink();
       for (std::uint8_t vl = 0; vl < fcfg.num_vls; ++vl) {
-        double occ_frac = 0.0;
-        const auto& down_ch = hca.downlink();
-        const auto& dcfg = down_ch.config();
-        if (dcfg.byte_occupancy()) {
-          const std::uint64_t cap_bytes = dcfg.port_buffer_bytes > 0
-                                              ? dcfg.port_buffer_bytes
-                                              : dcfg.switch_pool_bytes;
-          if (cap_bytes > 0) {
-            occ_frac = static_cast<double>(down_ch.vl_backlog_bytes(vl)) /
-                       static_cast<double>(cap_bytes);
-          }
-        } else if (dcfg.port_buffer_pkts > 0) {
-          occ_frac = static_cast<double>(down_ch.vl_backlog_packets(vl)) /
-                     dcfg.port_buffer_pkts;
-        }
+        const double occ_frac =
+            occupancy_fraction(down_ch.config(), down_ch.vl_backlog_bytes(vl),
+                               down_ch.vl_backlog_packets(vl));
         const sim::SimDuration vp = hca.uplink().vl_paused_time(vl);
         const double paused_frac =
             static_cast<double>(vp - prev_[i].up_vl_paused[vl]) / period;

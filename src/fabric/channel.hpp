@@ -1,6 +1,6 @@
 #pragma once
-// Unidirectional, bandwidth-limited link channel with per-QP round-robin
-// packet arbitration.
+// Unidirectional, bandwidth-limited link channel with per-lane, per-QP
+// round-robin packet arbitration.
 //
 // This is where interference physically happens: all QPs sharing a host port
 // contend here, one MTU at a time. A VM streaming 2 MB messages and a VM
@@ -99,9 +99,10 @@ class Channel {
     sink_ = std::move(sink);
   }
 
-  /// Queue one packet for transmission. Packets of the same QP stay FIFO;
-  /// packets of different QPs are arbitrated round-robin, one MTU per grant
-  /// (weighted if per-QP weights are set).
+  /// Queue one packet for transmission on its virtual lane. Packets of the
+  /// same (QP, lane) flow stay FIFO; lanes are arbitrated by the two-table
+  /// VL arbiter, then the flows of the winning lane round-robin, one MTU per
+  /// grant (weighted if per-QP weights are set).
   void enqueue(detail::Packet pkt);
 
   // --- hardware QoS (Section I: "Newer generation InfiniBand cards allow
@@ -163,58 +164,48 @@ class Channel {
   /// Packets ECN-marked at this port.
   [[nodiscard]] std::uint64_t ecn_marks() const noexcept { return ecn_marks_; }
   /// Bytes queued but not yet on the wire (byte-mode occupancy).
-  [[nodiscard]] std::uint64_t backlog_bytes() const noexcept {
-    return backlog_bytes_;
-  }
+  [[nodiscard]] std::uint64_t backlog_bytes() const noexcept;
   [[nodiscard]] const FabricConfig& config() const noexcept { return config_; }
 
-  // --- PFC (lossless per-hop flow control) ---------------------------------
-
-  /// One downstream switch port asserted XOFF against this channel: stop
-  /// granting packets until the matching resume(). Counted, not boolean —
-  /// several downstream ports may pause the same feeder concurrently.
-  void pause();
-  void resume();
-  [[nodiscard]] bool paused() const noexcept { return pause_refs_ > 0; }
-  /// Pause frames this port has sent upstream (XOFF assertions).
-  [[nodiscard]] std::uint64_t pauses_sent() const noexcept {
-    return pauses_sent_;
-  }
-  /// Cumulative time this channel spent paused (open interval included).
-  [[nodiscard]] sim::SimDuration paused_time() const noexcept;
-
-  // --- QoS: virtual lanes (resex::qos) -------------------------------------
-  // Active only while config.qos_enabled: packets carry a VL (from the
-  // SL->VL map), each lane has its own queue, buffer share, ECN marker and
-  // pause state, and the egress runs the two-table VL arbiter before the
-  // per-QP WRR. With qos off none of this code executes and the channel is
-  // byte-identical to the historical single-lane datapath.
+  // --- virtual lanes and PFC (resex::qos, resex::congestion) ---------------
+  // A channel has config.num_vls lanes while qos is enabled and exactly one
+  // otherwise. Each lane has its own queue, buffer share, ECN marker and
+  // pause state; with one lane they are the whole port's.
 
   /// Per-priority PFC: a downstream port pauses only the lanes set in
   /// `mask` (bit v = VL v), the class bitmap of an 802.1Qbb/IBA pause
-  /// frame. Refcounted per lane, exactly like pause()/resume() per port.
+  /// frame; bits beyond the configured lanes are ignored. Counted per lane,
+  /// not boolean — several downstream ports may pause the same feeder
+  /// concurrently, and the lane flows again after the last resume.
   void pause_vls(std::uint8_t mask);
   void resume_vls(std::uint8_t mask);
   [[nodiscard]] bool vl_paused(std::uint8_t vl) const noexcept {
-    return vl < qos::kMaxVls && vl_pause_refs_[vl] > 0;
+    return vl < qos::kMaxVls && lanes_[vl].pause_refs > 0;
   }
+  /// Pause frames this port has sent upstream (XOFF assertions, all lanes).
+  [[nodiscard]] std::uint64_t pauses_sent() const noexcept {
+    return pauses_sent_;
+  }
+  /// Cumulative paused time summed over the configured lanes (open
+  /// intervals included).
+  [[nodiscard]] sim::SimDuration paused_time() const noexcept;
   /// Cumulative time lane `vl` spent paused (open interval included).
   [[nodiscard]] sim::SimDuration vl_paused_time(std::uint8_t vl) const noexcept;
   [[nodiscard]] std::uint64_t vl_backlog_packets(std::uint8_t vl) const noexcept {
-    return vl < qos::kMaxVls ? vl_backlog_pkts_[vl] : 0;
+    return vl < qos::kMaxVls ? lanes_[vl].backlog_pkts : 0;
   }
   [[nodiscard]] std::uint64_t vl_backlog_bytes(std::uint8_t vl) const noexcept {
-    return vl < qos::kMaxVls ? vl_backlog_bytes_[vl] : 0;
+    return vl < qos::kMaxVls ? lanes_[vl].backlog_bytes : 0;
   }
   /// Packet grants the egress arbiter awarded to lane `vl`.
   [[nodiscard]] std::uint64_t vl_grants(std::uint8_t vl) const noexcept {
-    return vl < qos::kMaxVls ? vl_grants_[vl] : 0;
+    return vl < qos::kMaxVls ? lanes_[vl].grants : 0;
   }
 
  private:
   struct Flow {
     QpNum qp = 0;
-    std::uint8_t vl = 0;  // virtual lane (always 0 while qos is off)
+    std::uint8_t vl = 0;  // virtual lane
     std::deque<detail::Packet> packets;
     std::uint32_t weight = 1;
     std::uint32_t grants_left = 1;  // WRR grants remaining this visit
@@ -225,44 +216,48 @@ class Channel {
     sim::SimTime tokens_updated = 0;
   };
 
+  /// Per-lane egress queue accounting, admission and pause state.
+  struct Lane {
+    std::uint64_t backlog_pkts = 0;
+    std::uint64_t backlog_bytes = 0;
+    EcnMarker ecn{0, 0};
+    std::uint32_t pause_refs = 0;  // pause assertions received (as a feeder)
+    bool xoff = false;             // this port pauses its upstreams' lane
+    sim::SimTime paused_since = 0;
+    sim::SimDuration paused_time = 0;
+    std::size_t cursor = 0;  // WRR position in flows_
+    std::uint64_t grants = 0;
+  };
+
   Flow& flow_for(QpNum qp, std::uint8_t vl = 0);
   /// Apply one rate-limit update to one (qp, vl) flow, settling its bucket.
   void apply_rate_limit(Flow& f, double bytes_per_sec,
                         std::uint32_t burst_bytes);
+  /// Egress: two-table arbitration across the eligible lanes, then per-QP
+  /// WRR within the winning lane.
   void try_start();
-  /// VL-aware egress path: two-table arbitration across lanes, then per-QP
-  /// WRR within the winning lane. Replaces try_start() while qos is on.
-  void try_start_qos();
-  /// Dequeue `f`'s head packet and put it on the wire, advancing `cursor`
-  /// (the legacy port cursor or the winning lane's cursor) with the WRR
-  /// grant bookkeeping. Shared by both egress paths.
-  void launch(Flow& f, std::size_t pos, std::size_t& cursor);
-  /// VL-aware admission path. Replaces the body of enqueue() while qos is on.
-  void enqueue_qos(detail::Packet pkt);
-  /// Current occupancy in this port's accounting unit (bytes or packets).
-  [[nodiscard]] std::uint64_t occupancy_units() const noexcept;
-  /// Effective admission capacity in occupancy units (0 = infinite):
-  /// the pool's dynamic threshold, or the fixed per-port cap, overridden by
-  /// a fault-injected squeeze (denominated in packets, scaled in byte mode).
+  /// Dequeue `f`'s head packet and put it on the wire, advancing its lane's
+  /// WRR cursor past `pos` with the grant bookkeeping.
+  void launch(Flow& f, std::size_t pos);
+  /// Occupancy of `lane` in this port's accounting unit (bytes or packets).
+  [[nodiscard]] std::uint64_t occupancy_units(const Lane& lane) const noexcept;
+  /// Per-lane admission capacity in occupancy units (0 = infinite): the
+  /// pool's dynamic threshold, or the fixed per-port cap split across the
+  /// lanes, overridden by a fault-injected squeeze (denominated in packets,
+  /// scaled in byte mode, and split like the fixed cap).
   [[nodiscard]] std::uint64_t capacity_units();
-  /// Check the XOFF threshold after an admission / XON after a departure.
-  void check_xoff();
-  void check_xon();
-  /// Flip this port's pause assertion and propagate it one hop upstream.
-  void set_pause_upstream(bool pause);
-  /// Per-VL occupancy of lane `vl` in this port's accounting unit.
-  [[nodiscard]] std::uint64_t vl_occupancy_units(std::uint8_t vl) const noexcept;
-  /// Per-lane admission capacity (0 = infinite): the shared pool's dynamic
-  /// threshold bounds each *queue*, so with qos on every VL queue gets the
-  /// full Choudhury-Hahne bound; a fixed per-port cap is split statically
-  /// across the configured lanes.
-  [[nodiscard]] std::uint64_t vl_capacity_units();
-  /// Per-VL XOFF/XON against the per-lane capacity share.
-  void check_xoff_vl(std::uint8_t vl);
-  void check_xon_vl(std::uint8_t vl);
+  /// Check lane `vl`'s XOFF threshold after an admission / XON after a
+  /// departure.
+  void check_xoff(std::uint8_t vl);
+  void check_xon(std::uint8_t vl);
   /// Flip this port's pause assertion for one lane and send the class-bitmap
   /// pause frame one hop upstream.
-  void set_pause_upstream_vl(std::uint8_t vl, bool pause);
+  void set_pause_upstream(std::uint8_t vl, bool pause);
+  /// Trace a buf_drop / ecn_mark instant for `pkt` on lane `vl`.
+  void trace_congestion(const char* event, const detail::Packet& pkt,
+                        std::uint8_t vl, std::uint64_t occupancy);
+  /// Bucket level `f` would have after a refill to the current time.
+  [[nodiscard]] double refilled_tokens(const Flow& f) const;
   /// Refill `f`'s bucket to the current time; true if it may send `bytes`.
   bool may_send(Flow& f, std::uint32_t bytes);
   /// Earliest time the rate-limited flow could send its head packet.
@@ -275,9 +270,12 @@ class Channel {
   const FabricConfig& config_;
   std::string name_;
   std::function<void(detail::Packet)> sink_;
+  /// Selects the mode-specific trace event names and arguments; the
+  /// datapath itself only ever looks at num_lanes_.
+  bool qos_on_ = false;
+  std::uint8_t num_lanes_ = 1;
 
-  std::vector<Flow> flows_;    // stable per-QP state, created on first use
-  std::size_t rr_cursor_ = 0;  // round-robin position in flows_
+  std::vector<Flow> flows_;  // stable per-(QP, lane) state, created on use
   bool busy_ = false;
   std::uint64_t packets_sent_ = 0;
   std::uint64_t bytes_sent_ = 0;
@@ -292,38 +290,20 @@ class Channel {
   bool ecn_configured_ = false;  // marker thresholds actually installed
   bool byte_mode_ = false;       // occupancy accounted in bytes, not packets
   bool pfc_on_ = false;
-  EcnMarker ecn_marker_{0, 0};
   SwitchBufferPool* pool_ = nullptr;
   const std::vector<Channel*>* upstreams_ = nullptr;
-  std::uint64_t backlog_bytes_ = 0;
   std::uint64_t buf_drops_ = 0;
   std::uint64_t ecn_marks_ = 0;
-  // PFC: pause assertions received (as a feeder) and sent (as a port).
-  std::uint32_t pause_refs_ = 0;
-  bool pfc_asserted_ = false;  // this port currently pauses its upstreams
-  sim::SimTime paused_since_ = 0;
-  sim::SimDuration paused_time_ = 0;
   std::uint64_t pauses_sent_ = 0;
   obs::Counter* buf_drops_total_ = nullptr;   // fabric-wide aggregate
   obs::Counter* ecn_marks_total_ = nullptr;   // fabric-wide aggregate
   obs::Counter* pauses_total_ = nullptr;      // fabric-wide aggregate
   obs::Histogram* occupancy_hist_ = nullptr;  // fabric-wide, at enqueue
+  obs::Histogram* vl_occupancy_hist_ = nullptr;  // per-lane, qos runs only
   obs::Histogram* pause_dur_hist_ = nullptr;  // fabric-wide, per pause spell
 
-  // QoS per-lane state (all inert while qos_on_ is false).
-  bool qos_on_ = false;
   qos::VlArbiter arbiter_{};
-  std::array<std::uint64_t, qos::kMaxVls> vl_backlog_pkts_{};
-  std::array<std::uint64_t, qos::kMaxVls> vl_backlog_bytes_{};
-  std::array<std::uint32_t, qos::kMaxVls> vl_pause_refs_{};
-  std::array<bool, qos::kMaxVls> vl_xoff_{};  // pausing upstreams for lane v
-  std::array<sim::SimTime, qos::kMaxVls> vl_paused_since_{};
-  std::array<sim::SimDuration, qos::kMaxVls> vl_paused_time_{};
-  std::array<std::size_t, qos::kMaxVls> vl_cursor_{};  // per-lane QP cursor
-  std::array<std::uint64_t, qos::kMaxVls> vl_grants_{};
-  std::array<EcnMarker, qos::kMaxVls> vl_ecn_{
-      EcnMarker{0, 0}, EcnMarker{0, 0}, EcnMarker{0, 0}, EcnMarker{0, 0}};
-  obs::Histogram* vl_occupancy_hist_ = nullptr;  // fabric-wide, at enqueue
+  std::array<Lane, qos::kMaxVls> lanes_{};
 };
 
 }  // namespace resex::fabric

@@ -53,6 +53,8 @@ class VlArbiter {
   [[nodiscard]] std::uint8_t pick(std::uint8_t eligible) noexcept {
     eligible &= static_cast<std::uint8_t>((1u << cfg_.num_vls) - 1u);
     if (eligible == 0) return kMaxVls;
+    // One VL: nothing to arbitrate, and no table state can change the answer.
+    if (cfg_.num_vls == 1) return 0;
     const auto hi = static_cast<std::uint8_t>(eligible & cfg_.high_mask);
     const auto lo = static_cast<std::uint8_t>(eligible & ~cfg_.high_mask);
     // No low-table traffic waiting: high-table grants cause no starvation,

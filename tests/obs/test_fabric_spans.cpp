@@ -195,9 +195,9 @@ TEST(FabricSpans, PfcPausesLeaveInstantsAndCompleteSpans) {
   // to exactly the paused time the channels accounted (nothing left paused).
   // A pause frame reaches *every* channel feeding the switch — including the
   // receiver's own idle uplink — so sum all three.
-  EXPECT_FALSE(hca_a.uplink().paused());
-  EXPECT_FALSE(hca_b.uplink().paused());
-  EXPECT_FALSE(hca_c.uplink().paused());
+  EXPECT_FALSE(hca_a.uplink().vl_paused(0));
+  EXPECT_FALSE(hca_b.uplink().vl_paused(0));
+  EXPECT_FALSE(hca_c.uplink().vl_paused(0));
   EXPECT_EQ(traced, hca_a.uplink().paused_time() +
                         hca_b.uplink().paused_time() +
                         hca_c.uplink().paused_time());

@@ -150,21 +150,22 @@ TEST(Pfc, PauseGatesTheWholeChannelAndResumeRestartsIt) {
   auto [a, b] = world.make_connected_pair();
   // Pause A's uplink before any traffic: the post goes through (doorbells
   // are not paused) but nothing may reach the wire.
+  // With qos off the channel has one lane, so the pause bitmap is lane 0.
   Channel& up = world.hca_a->uplink();
-  up.pause();
-  up.pause();  // two downstream ports pause the same feeder
+  up.pause_vls(0b1);
+  up.pause_vls(0b1);  // two downstream ports pause the same feeder
   std::vector<Cqe> cqes;
   std::vector<SimTime> times;
   world.sim.spawn(send_many(a, b, 1, 16 * 1024, cqes, times));
   world.sim.run_until(sim::kMillisecond);
-  EXPECT_TRUE(up.paused());
+  EXPECT_TRUE(up.vl_paused(0));
   EXPECT_EQ(up.packets_sent(), 0u);
   EXPECT_TRUE(cqes.empty());
   // One resume is not enough: the reference count must reach zero.
-  up.resume();
+  up.resume_vls(0b1);
   world.sim.run_until(2 * sim::kMillisecond);
   EXPECT_EQ(up.packets_sent(), 0u);
-  up.resume();
+  up.resume_vls(0b1);
   world.sim.run();
   ASSERT_EQ(cqes.size(), 1u);
   EXPECT_EQ(cqes[0].status, static_cast<std::uint8_t>(CqeStatus::kSuccess));
@@ -210,7 +211,7 @@ TEST(Pfc, PausesAccountPausedTimeOnTheFeeders) {
   // accumulated paused time, and every pause spell ended (nothing stuck).
   for (std::size_t i = 1; i < w.hcas.size(); ++i) {
     EXPECT_GT(w.hcas[i]->uplink().paused_time(), 0u) << "uplink " << i;
-    EXPECT_FALSE(w.hcas[i]->uplink().paused()) << "uplink " << i;
+    EXPECT_FALSE(w.hcas[i]->uplink().vl_paused(0)) << "uplink " << i;
   }
   EXPECT_EQ(w.sim.metrics().counter("fabric.buf_drops").value(), 0u);
   // The per-spell duration histogram saw every completed spell.
@@ -358,8 +359,8 @@ TEST(Pfc, PauseTreePropagatesAcrossTheFatTreeAndGatesTheVictim) {
   EXPECT_GT(cl.hca(0).uplink().paused_time(), 0u);
   // And nothing is left paused once the load is gone.
   for (std::uint32_t i = 0; i < 8; ++i) {
-    EXPECT_FALSE(cl.hca(i).uplink().paused()) << "uplink " << i;
-    EXPECT_FALSE(cl.hca(i).downlink().paused()) << "downlink " << i;
+    EXPECT_FALSE(cl.hca(i).uplink().vl_paused(0)) << "uplink " << i;
+    EXPECT_FALSE(cl.hca(i).downlink().vl_paused(0)) << "downlink " << i;
   }
 }
 

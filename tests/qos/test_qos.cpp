@@ -313,6 +313,10 @@ struct FatTreeResult {
   std::uint64_t drops = 0;
   std::uint64_t pauses = 0;
   std::array<sim::SimDuration, 2> victim_uplink_vl_paused{};
+  /// Sum of every fabric.<port>.paused_ns gauge at the end of the run...
+  double paused_ns_gauges = 0.0;
+  /// ...and of the lane paused times of the ports that register one.
+  sim::SimDuration switch_port_lane_paused = 0;
   bool all_success = true;
 };
 
@@ -374,6 +378,17 @@ FatTreeResult run_fat_tree_victim(bool qos_on) {
   r.pauses = sim.metrics().counter("fabric.pfc_pauses").value();
   r.victim_uplink_vl_paused = {cl.hca(0).uplink().vl_paused_time(0),
                                cl.hca(0).uplink().vl_paused_time(1)};
+  for (const auto& m : sim.metrics().snapshot(sim.now()).samples) {
+    if (m.name.ends_with(".paused_ns")) r.paused_ns_gauges += m.value;
+  }
+  const auto add_lanes = [&r](const Channel& ch) {
+    for (std::uint8_t vl = 0; vl < qos::kMaxVls; ++vl) {
+      r.switch_port_lane_paused += ch.vl_paused_time(vl);
+    }
+  };
+  for (std::uint32_t i = 0; i < cc.nodes; ++i) add_lanes(cl.hca(i).downlink());
+  cl.fabric().for_each_trunk(
+      [&](std::uint32_t, std::uint32_t, Channel& ch) { add_lanes(ch); });
   return r;
 }
 
@@ -391,6 +406,17 @@ TEST(QosPfc, TwoClassFatTreeIncastIsLosslessAndSparesTheLatencyLane) {
   // ...so the victim finishes strictly earlier than under 1-class PFC,
   // where the port-wide pause tree gates it (the fig_pfc HoL result).
   EXPECT_LT(two_class.victim_done, one_class.victim_done);
+}
+
+TEST(QosPfc, PausedNsGaugeSumsTheLanes) {
+  // Under qos a pause names lanes, so a port's paused_ns gauge must report
+  // the sum of its lanes' paused time; the fat-tree pause tree reaches the
+  // trunks, which are switch ports and register the gauge.
+  const FatTreeResult r = run_fat_tree_victim(true);
+  ASSERT_TRUE(r.all_success);
+  EXPECT_GT(r.switch_port_lane_paused, 0u);
+  EXPECT_EQ(r.paused_ns_gauges,
+            static_cast<double>(r.switch_port_lane_paused));
 }
 
 // --- DCQCN stays keyed per QP (regression) ------------------------------------
