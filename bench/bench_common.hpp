@@ -7,8 +7,10 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <functional>
 #include <iostream>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -92,6 +94,20 @@ inline int save_exports(const runner::ResultSink& sink,
   return rc;
 }
 
+/// Write the --metrics-json snapshots of a scenario sweep; like
+/// save_exports, an unwritable path is reported and fails the exit code.
+inline int save_metrics(const runner::RunnerOptions& opts, const auto& outcomes,
+                        const std::string& bench) {
+  if (opts.metrics_path.empty()) return 0;
+  try {
+    runner::save_metrics_json(opts.metrics_path, outcomes);
+  } catch (const std::exception& e) {
+    std::cerr << bench << ": " << e.what() << "\n";
+    return 1;
+  }
+  return 0;
+}
+
 /// Timing goes to stderr, never into the table or the exported files, so a
 /// parallel run's outputs stay byte-identical to a serial run's.
 inline void report_timing(std::size_t points, std::size_t seeds,
@@ -103,40 +119,61 @@ inline void report_timing(std::size_t points, std::size_t seeds,
 
 /// Shared driver for runner-backed figure benches: runs the sweep under the
 /// CLI options, prints the aggregate table (mean per metric, ±95% CI
-/// columns when --seeds > 1), and writes the --json/--csv exports.
+/// columns when --seeds > 1), and writes the --json/--csv/--metrics-json
+/// exports. A flag the two-node testbed cannot honour (--routing and its
+/// kin) is reported like a bad flag, before any trial runs: one line on
+/// stderr, exit 2.
 inline int run_figure_bench(const runner::RunnerOptions& opts,
                             const std::string& figure, const std::string& what,
                             const runner::Sweep& sweep,
                             std::vector<runner::Metric> metrics) {
-  print_scenario_header(figure, what);
   const auto t0 = std::chrono::steady_clock::now();
-  const auto outcomes = runner::run_sweep(sweep.points(), opts);
+  std::vector<runner::PointOutcome> outcomes;
+  try {
+    outcomes = runner::run_sweep(sweep.points(), opts);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << figure << ": " << e.what() << "\n";
+    std::exit(2);
+  }
   const double wall_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
                                                 t0)
           .count();
+  print_scenario_header(figure, what);
   const runner::ResultSink sink(std::move(metrics));
   sink.table(outcomes).print(std::cout);
   int rc = save_exports(sink, opts, outcomes, figure.c_str());
-  if (!opts.metrics_path.empty()) {
-    try {
-      runner::save_metrics_json(opts.metrics_path, outcomes);
-    } catch (const std::exception& e) {
-      std::cerr << figure << ": " << e.what() << "\n";
-      rc = 1;
-    }
-  }
+  rc |= save_metrics(opts, outcomes, figure);
   report_timing(outcomes.size(), opts.seeds, opts.resolved_jobs(), wall_ms);
   return rc;
 }
 
+/// A (row label, metric column) -> replicate-mean lookup over `outcomes`;
+/// 0 for a label with no row.
+inline auto replicate_means(
+    const std::vector<runner::GenericOutcome>& outcomes) {
+  return [&outcomes](const std::string& label, std::size_t col) {
+    for (const auto& o : outcomes) {
+      if (o.label != label) continue;
+      double sum = 0.0;
+      for (const auto& trial : o.trial_values) sum += trial[col];
+      return o.trial_values.empty()
+                 ? 0.0
+                 : sum / static_cast<double>(o.trial_values.size());
+    }
+    return 0.0;
+  };
+}
+
 /// As run_figure_bench, but for benches whose trials are not a single
-/// run_scenario call (generic seed -> metric-values points).
-inline int run_generic_bench(const runner::RunnerOptions& opts,
-                             const std::string& figure,
-                             const std::string& what,
-                             std::vector<runner::GenericPoint> points,
-                             std::vector<std::string> metric_names) {
+/// run_scenario call (generic seed -> metric-values points). `summary`, when
+/// given, prints its conclusions from the outcomes after the table.
+inline int run_generic_bench(
+    const runner::RunnerOptions& opts, const std::string& figure,
+    const std::string& what, std::vector<runner::GenericPoint> points,
+    std::vector<std::string> metric_names,
+    const std::function<void(const std::vector<runner::GenericOutcome>&)>&
+        summary = {}) {
   print_scenario_header(figure, what);
   if (!opts.trace_path.empty() || !opts.metrics_path.empty()) {
     // Generic trials are opaque seed -> values functions; they do not run
@@ -153,6 +190,7 @@ inline int run_generic_bench(const runner::RunnerOptions& opts,
   const auto sink = runner::ResultSink::named(std::move(metric_names));
   sink.table(outcomes).print(std::cout);
   const int rc = save_exports(sink, opts, outcomes, figure.c_str());
+  if (summary) summary(outcomes);
   report_timing(outcomes.size(), opts.seeds, opts.resolved_jobs(), wall_ms);
   return rc;
 }

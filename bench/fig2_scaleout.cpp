@@ -11,13 +11,14 @@
 //
 // CLI: --nodes N[,N...] selects the cluster sizes (multiples of 4, default
 // 8,16,24,32); everything else is the standard runner CLI (--jobs, --seeds,
-// --json, --csv, --faults, ...). Results are byte-identical for any --jobs.
+// --json, --csv, --metrics-json, --faults, --routing, ...). Results are
+// byte-identical for any --jobs.
 
 #include <sstream>
 #include <string_view>
 
 #include "bench_common.hpp"
-#include "runner/cluster_runner.hpp"
+#include "cluster/scenario.hpp"
 
 namespace {
 
@@ -63,10 +64,10 @@ int main(int argc, char** argv) {
   }
   const auto opts = parse_cli(static_cast<int>(rest.size()), rest.data());
 
-  std::vector<runner::ClusterPoint> points;
+  std::vector<runner::ScenarioPoint<cluster::ClusterScenarioConfig>> points;
   for (const std::uint32_t nodes : node_counts) {
     for (const bool migrate : {false, true}) {
-      runner::ClusterPoint p;
+      runner::ScenarioPoint<cluster::ClusterScenarioConfig> p;
       p.label = std::to_string(nodes) + "n " + (migrate ? "resex" : "static");
       p.params = {{"nodes", std::to_string(nodes)},
                   {"placement", migrate ? "resex" : "static"}};
@@ -84,7 +85,8 @@ int main(int argc, char** argv) {
       "+15%, evaluated per client sample, coordinated-omission-free.");
 
   const auto t0 = std::chrono::steady_clock::now();
-  const auto cluster_outcomes = runner::run_cluster(std::move(points), opts);
+  const auto cluster_outcomes = runner::run_sweep(
+      std::move(points), opts, cluster::run_cluster_scenario);
   const double wall_ms = std::chrono::duration<double, std::milli>(
                              std::chrono::steady_clock::now() - t0)
                              .count();
@@ -92,8 +94,10 @@ int main(int argc, char** argv) {
   // Flatten to the generic sink: one row per point, metrics per replicate.
   std::vector<runner::GenericOutcome> outcomes;
   for (const auto& o : cluster_outcomes) {
-    runner::GenericOutcome g{o.label, o.params, o.seeds, {}};
-    for (const auto& r : o.trials) {
+    runner::GenericOutcome g{o.point.label, o.point.params, {}, {}};
+    for (const auto& trial : o.trials) {
+      const auto& r = trial.scenario;
+      g.seeds.push_back(trial.seed);
       g.trial_values.push_back(
           {r.violation_pct,
            r.services.empty() ? 0.0 : r.services.front().client_mean_us,
@@ -110,8 +114,8 @@ int main(int argc, char** argv) {
       {"viol_pct", "svc0_mean_us", "svc0_p99_us", "sla_limit_us", "migrations",
        "mig_MB", "pause_ms"});
   sink.table(outcomes).print(std::cout);
-  const int rc =
-      save_exports(sink, opts, outcomes, "Figure 2 scale-out");
+  int rc = save_exports(sink, opts, outcomes, "Figure 2 scale-out");
+  rc |= save_metrics(opts, cluster_outcomes, "Figure 2 scale-out");
   report_timing(outcomes.size(), opts.seeds, opts.resolved_jobs(), wall_ms);
   return rc;
 }

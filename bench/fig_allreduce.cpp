@@ -104,8 +104,7 @@ std::vector<double> run_allreduce(cluster::TopologyKind topo,
     qos::QosConfig qcfg;
     qcfg.enabled = true;
     qcfg.apply(cfg.fabric);
-    cfg.fabric.routing.vl_shift = true;
-    cfg.fabric.reserve_shift_lane();
+    routing::RoutingConfig{.vl_shift = true}.apply(cfg.fabric);
   }
   cluster::Cluster cluster(cfg);
   auto& sim = cluster.sim();

@@ -243,6 +243,32 @@ std::vector<double> run_fat_tree(const Mode& mode, std::uint64_t seed) {
           victim_latency.percentile(99.0)};
 }
 
+/// The lossless and head-of-line conclusions drawn from the table.
+void print_hol_summary(
+    const std::vector<resex::runner::GenericOutcome>& outcomes) {
+  const auto mean_of = resex::bench::replicate_means(outcomes);
+  constexpr std::size_t kDropsCol = 3;
+  constexpr std::size_t kVictimCol = 6;
+  const double pfc_drops = mean_of("incast pfc 8:1", kDropsCol) +
+                           mean_of("fat-tree pfc victim", kDropsCol);
+  const double victim_pfc = mean_of("fat-tree pfc victim", kVictimCol);
+  const double victim_ecn = mean_of("fat-tree ecn+dcqcn victim", kVictimCol);
+  const double degradation =
+      victim_ecn > 0.0 ? 100.0 * (1.0 - victim_pfc / victim_ecn) : 0.0;
+  std::cout << "\nPFC is lossless: " << pfc_drops
+            << " buffer drops across the pfc rows (must be 0).\n"
+            << "HoL blocking: the victim flow shares only uncongested trunks "
+               "with the incast,\nyet runs at "
+            << static_cast<std::uint64_t>(victim_pfc)
+            << " MB/s under PFC vs "
+            << static_cast<std::uint64_t>(victim_ecn)
+            << " MB/s under ECN+DCQCN ("
+            << static_cast<std::int64_t>(degradation)
+            << "% degradation):\nthe pause tree gates whole upstream ports, "
+               "not flows. ECN+DCQCN throttles the\noffenders at their "
+               "sources and leaves the victim at line rate.\n";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -281,9 +307,8 @@ int main(int argc, char** argv) {
     points.push_back(std::move(p));
   }
 
-  // run_generic_bench discards the outcomes, and the HoL summary below needs
-  // them — so drive the runner directly (same flow, same output shape).
-  print_scenario_header(
+  return run_generic_bench(
+      opts,
       "PFC: lossless per-hop pause vs tail-drop and ECN/DCQCN",
       "Part 1: 8 closed-loop senders RDMA-write 64KB blocks into one "
       "receiver through one\nswitch (buf=" + std::to_string(buf) +
@@ -292,51 +317,9 @@ int main(int argc, char** argv) {
           "buffer).\nPart 2: 3 aggressors on leaf 0 incast into leaf 1 over "
           "a 2-tier fat-tree while a\nvictim flow (leaf 0 -> leaf 1, "
           "different hosts) shares only the fat trunks;\nvictim_MBps shows "
-          "what PFC's pause tree (HoL blocking) costs it.");
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto outcomes = resex::runner::run_generic(std::move(points), opts);
-  const double wall_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count();
-  const auto sink = resex::runner::ResultSink::named(
+          "what PFC's pause tree (HoL blocking) costs it.",
+      std::move(points),
       {"reqs", "p50_us", "p99_us", "drops", "pauses", "goodput_MBps",
-       "victim_MBps", "victim_p99_us"});
-  sink.table(outcomes).print(std::cout);
-  const int rc = save_exports(sink, opts, outcomes, "fig_pfc");
-
-  // Replicate-mean of one column of one labelled row.
-  const auto mean_of = [&outcomes](const std::string& label,
-                                   std::size_t col) -> double {
-    for (const auto& o : outcomes) {
-      if (o.label != label) continue;
-      double sum = 0.0;
-      for (const auto& trial : o.trial_values) sum += trial[col];
-      return o.trial_values.empty()
-                 ? 0.0
-                 : sum / static_cast<double>(o.trial_values.size());
-    }
-    return 0.0;
-  };
-  constexpr std::size_t kDropsCol = 3;
-  constexpr std::size_t kVictimCol = 6;
-  const double pfc_drops = mean_of("incast pfc 8:1", kDropsCol) +
-                           mean_of("fat-tree pfc victim", kDropsCol);
-  const double victim_pfc = mean_of("fat-tree pfc victim", kVictimCol);
-  const double victim_ecn = mean_of("fat-tree ecn+dcqcn victim", kVictimCol);
-  const double degradation =
-      victim_ecn > 0.0 ? 100.0 * (1.0 - victim_pfc / victim_ecn) : 0.0;
-  std::cout << "\nPFC is lossless: " << pfc_drops
-            << " buffer drops across the pfc rows (must be 0).\n"
-            << "HoL blocking: the victim flow shares only uncongested trunks "
-               "with the incast,\nyet runs at "
-            << static_cast<std::uint64_t>(victim_pfc)
-            << " MB/s under PFC vs "
-            << static_cast<std::uint64_t>(victim_ecn)
-            << " MB/s under ECN+DCQCN ("
-            << static_cast<std::int64_t>(degradation)
-            << "% degradation):\nthe pause tree gates whole upstream ports, "
-               "not flows. ECN+DCQCN throttles the\noffenders at their "
-               "sources and leaves the victim at line rate.\n";
-  report_timing(outcomes.size(), opts.seeds, opts.resolved_jobs(), wall_ms);
-  return rc;
+       "victim_MBps", "victim_p99_us"},
+      print_hol_summary);
 }

@@ -263,6 +263,42 @@ std::vector<double> run_allreduce_victim(bool coll_on, bool qos_on,
           victim_mbps};
 }
 
+/// The class-isolation conclusions drawn from the table.
+void print_isolation_summary(
+    const std::vector<resex::runner::GenericOutcome>& outcomes) {
+  const auto mean_of = resex::bench::replicate_means(outcomes);
+  constexpr std::size_t kP99Col = 2;
+  constexpr std::size_t kBulkCol = 5;
+  constexpr std::size_t kVictimCol = 6;
+  const auto pct = [](double a, double b) {
+    return b > 0.0 ? 100.0 * a / b : 0.0;
+  };
+  const double v_base = mean_of("fat-tree uncontended", kVictimCol);
+  const double v_1c = mean_of("fat-tree pfc 1-class", kVictimCol);
+  const double v_2c = mean_of("fat-tree pfc 2-class qos", kVictimCol);
+  const double p99_base = mean_of("fat-tree uncontended", kP99Col);
+  const double p99_2c = mean_of("fat-tree pfc 2-class qos", kP99Col);
+  const double bulk_1c = mean_of("fat-tree pfc 1-class", kBulkCol);
+  const double bulk_2c = mean_of("fat-tree pfc 2-class qos", kBulkCol);
+  const double ar_p99_1c = mean_of("allreduce 1-class", kP99Col);
+  const double ar_p99_2c = mean_of("allreduce 2-class qos", kP99Col);
+  std::cout << "\nIsolation (fat-tree victim): goodput "
+            << static_cast<std::uint64_t>(v_1c) << " -> "
+            << static_cast<std::uint64_t>(v_2c)
+            << " MB/s with qos on, i.e. " << static_cast<std::int64_t>(
+                   pct(v_2c, v_base))
+            << "% of the uncontended " << static_cast<std::uint64_t>(v_base)
+            << " MB/s (accept >= 90%);\nvictim p99 " << p99_2c << " us vs "
+            << p99_base << " us uncontended ("
+            << static_cast<std::int64_t>(pct(p99_2c, p99_base))
+            << "%, accept <= 110%). The bulk class keeps "
+            << static_cast<std::int64_t>(pct(bulk_2c, bulk_1c))
+            << "% of its 1-class goodput (accept >= 90%).\n"
+            << "Allreduce part: victim p99 " << ar_p99_1c
+            << " us behind the 1-class collective vs " << ar_p99_2c
+            << " us with two classes.\n";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -301,9 +337,8 @@ int main(int argc, char** argv) {
     points.push_back(std::move(p));
   }
 
-  // run_generic_bench discards the outcomes, and the isolation summary below
-  // needs them — so drive the runner directly (same flow, same output shape).
-  print_scenario_header(
+  return run_generic_bench(
+      opts,
       "QoS: two traffic classes on shared virtual lanes",
       "Part 1: the fig_pfc fat-tree victim rerun (buf=" + std::to_string(buf) +
           " pkts, PFC) with aggressors on the bulk SL and the\nvictim on the "
@@ -311,61 +346,9 @@ int main(int argc, char** argv) {
           "gating\nthe victim's. Part 2: a striped ring all-reduce (bulk) "
           "saturates a lossless 1x\nspine trunk while a latency victim "
           "shares it; the VL arbiter's high-priority\ntable lets the victim "
-          "overtake at every hop. p50/p99 columns are the victim's.");
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto outcomes = resex::runner::run_generic(std::move(points), opts);
-  const double wall_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count();
-  const auto sink = resex::runner::ResultSink::named(
+          "overtake at every hop. p50/p99 columns are the victim's.",
+      std::move(points),
       {"reqs", "p50_us", "p99_us", "drops", "pauses", "bulk_MBps",
-       "victim_MBps"});
-  sink.table(outcomes).print(std::cout);
-  const int rc = save_exports(sink, opts, outcomes, "fig_qos");
-
-  // Replicate-mean of one column of one labelled row.
-  const auto mean_of = [&outcomes](const std::string& label,
-                                   std::size_t col) -> double {
-    for (const auto& o : outcomes) {
-      if (o.label != label) continue;
-      double sum = 0.0;
-      for (const auto& trial : o.trial_values) sum += trial[col];
-      return o.trial_values.empty()
-                 ? 0.0
-                 : sum / static_cast<double>(o.trial_values.size());
-    }
-    return 0.0;
-  };
-  constexpr std::size_t kP99Col = 2;
-  constexpr std::size_t kBulkCol = 5;
-  constexpr std::size_t kVictimCol = 6;
-  const auto pct = [](double a, double b) {
-    return b > 0.0 ? 100.0 * a / b : 0.0;
-  };
-  const double v_base = mean_of("fat-tree uncontended", kVictimCol);
-  const double v_1c = mean_of("fat-tree pfc 1-class", kVictimCol);
-  const double v_2c = mean_of("fat-tree pfc 2-class qos", kVictimCol);
-  const double p99_base = mean_of("fat-tree uncontended", kP99Col);
-  const double p99_2c = mean_of("fat-tree pfc 2-class qos", kP99Col);
-  const double bulk_1c = mean_of("fat-tree pfc 1-class", kBulkCol);
-  const double bulk_2c = mean_of("fat-tree pfc 2-class qos", kBulkCol);
-  const double ar_p99_1c = mean_of("allreduce 1-class", kP99Col);
-  const double ar_p99_2c = mean_of("allreduce 2-class qos", kP99Col);
-  std::cout << "\nIsolation (fat-tree victim): goodput "
-            << static_cast<std::uint64_t>(v_1c) << " -> "
-            << static_cast<std::uint64_t>(v_2c)
-            << " MB/s with qos on, i.e. " << static_cast<std::int64_t>(
-                   pct(v_2c, v_base))
-            << "% of the uncontended " << static_cast<std::uint64_t>(v_base)
-            << " MB/s (accept >= 90%);\nvictim p99 " << p99_2c << " us vs "
-            << p99_base << " us uncontended ("
-            << static_cast<std::int64_t>(pct(p99_2c, p99_base))
-            << "%, accept <= 110%). The bulk class keeps "
-            << static_cast<std::int64_t>(pct(bulk_2c, bulk_1c))
-            << "% of its 1-class goodput (accept >= 90%).\n"
-            << "Allreduce part: victim p99 " << ar_p99_1c
-            << " us behind the 1-class collective vs " << ar_p99_2c
-            << " us with two classes.\n";
-  report_timing(outcomes.size(), opts.seeds, opts.resolved_jobs(), wall_ms);
-  return rc;
+       "victim_MBps"},
+      print_isolation_summary);
 }

@@ -190,8 +190,7 @@ std::vector<double> run_ring(bool vl_shift, std::uint64_t /*seed*/) {
     qos::QosConfig qcfg;
     qcfg.enabled = true;
     qcfg.apply(cfg.fabric);
-    cfg.fabric.routing.vl_shift = true;
-    cfg.fabric.reserve_shift_lane();
+    routing::RoutingConfig{.vl_shift = true}.apply(cfg.fabric);
   }
   cluster::Cluster cluster(cfg);
   auto& sim = cluster.sim();

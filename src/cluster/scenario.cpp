@@ -1,15 +1,11 @@
 #include "cluster/scenario.hpp"
 
-#include <iostream>
 #include <memory>
 #include <stdexcept>
 
-#include "congestion/dcqcn.hpp"
+#include "core/harness.hpp"
 #include "core/testbed.hpp"
-#include "fault/fault.hpp"
-#include "obs/trace.hpp"
 #include "sim/rng.hpp"
-#include "sim/task.hpp"
 
 namespace resex::cluster {
 
@@ -25,11 +21,7 @@ struct Calibration {
 Calibration calibrate(ClusterScenarioConfig config) {
   config.with_interferers = false;
   config.migration_enabled = false;
-  config.duration = 300 * sim::kMillisecond;
-  config.trace_path.clear();
-  config.collect_metrics = false;
-  config.metrics_period = 0;
-  config.faults.clear();
+  core::make_probe(config);
   // Non-nullopt sentinels stop the nested run from calibrating again.
   config.sla_limit_us = 0.0;
   config.baseline_total_us = 0.0;
@@ -89,37 +81,11 @@ ClusterScenarioResult run_cluster_scenario(
   ccfg.trunk_bandwidth_scale = config.trunk_bandwidth_scale;
   config.congestion.apply(ccfg.fabric);
   config.qos.apply(ccfg.fabric);
-  // Routing rides after qos: reserve_shift_lane grows num_vls *above* the
-  // applied SL->VL map, so no service level maps onto the shift lane.
-  ccfg.fabric.routing = config.routing;
-  if (config.routing.vl_shift) ccfg.fabric.reserve_shift_lane();
+  config.routing.apply(ccfg.fabric);
   Cluster cluster(ccfg);
-  if (!config.trace_path.empty()) cluster.sim().tracer().enable();
-
-  // --- DCQCN rate control (resex::congestion), if enabled --------------------
-  std::unique_ptr<congestion::RateController> rate_controller;
-  if (config.congestion.rate_control && config.congestion.ecn_kmax > 0) {
-    rate_controller = std::make_unique<congestion::RateController>(
-        cluster.fabric(), config.congestion.dcqcn);
-  }
-
-  // --- fault injection -------------------------------------------------------
-  const fault::FaultPlan fault_plan = fault::FaultPlan::parse(config.faults);
-  std::unique_ptr<fault::FaultInjector> injector;
-  if (fault_plan.any()) {
-    injector = std::make_unique<fault::FaultInjector>(
-        fault_plan, sim::derive(config.seed, 0xFA17));
-    // Control-path delay windows land on the first contended host's dom0.
-    injector->arm(cluster.fabric(), &cluster.node(0));
-    cluster.sim().metrics().gauge_fn(
-        "fault.drops_injected", [inj = injector.get()] {
-          return static_cast<double>(inj->drops_injected());
-        });
-    cluster.sim().metrics().gauge_fn(
-        "fault.corrupts_injected", [inj = injector.get()] {
-          return static_cast<double>(inj->corrupts_injected());
-        });
-  }
+  // Control-path delay windows land on the first contended host's dom0.
+  core::ScenarioHarness harness(cluster.sim(), cluster.fabric(),
+                                cluster.node(0), config);
 
   // --- deploy ---------------------------------------------------------------
   std::vector<std::unique_ptr<Service>> services;
@@ -165,26 +131,7 @@ ClusterScenarioResult run_cluster_scenario(
   for (auto& svc : interferers) svc->start();
 
   // --- run -------------------------------------------------------------------
-  std::vector<obs::MetricsSnapshot> series;
-  // As in core::run_experiment: with tracing on, the same loop streams every
-  // metric into the trace sink as counter tracks (--trace + --metrics-period
-  // puts the time series and the spans in one file).
-  const bool metrics_series = config.collect_metrics && config.metrics_period > 0;
-  if (metrics_series ||
-      (cluster.sim().tracer().enabled() && config.metrics_period > 0)) {
-    cluster.sim().spawn(
-        [](sim::Simulation& sim, sim::SimDuration period,
-           std::vector<obs::MetricsSnapshot>* out) -> sim::Task {
-          for (;;) {
-            co_await sim.delay(period);
-            if (out != nullptr) {
-              out->push_back(sim.metrics().snapshot(sim.now()));
-            }
-            sim.metrics().emit_to_tracer(sim.tracer());
-          }
-        }(cluster.sim(), config.metrics_period, metrics_series ? &series : nullptr));
-  }
-  cluster.sim().run_until(config.warmup + config.duration);
+  harness.run_until(config.warmup + config.duration);
 
   // --- collect ---------------------------------------------------------------
   std::uint64_t pooled_samples = 0;
@@ -202,23 +149,9 @@ ClusterScenarioResult run_cluster_scenario(
                           : 100.0 * static_cast<double>(pooled_violations) /
                                 static_cast<double>(pooled_samples);
   if (engine != nullptr) result.migration = engine->stats();
-  if (config.collect_metrics) {
-    result.metrics = cluster.sim().metrics().snapshot(cluster.sim().now());
-    result.metrics_series = std::move(series);
-  }
-  if (cluster.sim().tracer().enabled()) {
-    cluster.sim().tracer().complete(
-        "cluster.scenario", "cluster", 0, cluster.sim().now(),
-        {"seed", static_cast<double>(config.seed)},
-        {"nodes", static_cast<double>(config.nodes)});
-  }
-  if (!config.trace_path.empty()) {
-    try {
-      obs::save_trace(config.trace_path, cluster.sim().tracer());
-    } catch (const std::exception& e) {
-      std::cerr << "run_cluster_scenario: " << e.what() << "\n";
-    }
-  }
+  harness.finish(result.metrics, result.metrics_series,
+                 {{"cluster.scenario", "cluster", cluster.sim().now(),
+                   {"nodes", static_cast<double>(config.nodes)}}});
   return result;
 }
 

@@ -1,12 +1,9 @@
 #include "core/experiment.hpp"
 
-#include <iostream>
 #include <memory>
 
-#include "congestion/dcqcn.hpp"
-#include "fault/fault.hpp"
+#include "core/harness.hpp"
 #include "sim/rng.hpp"
-#include "sim/task.hpp"
 
 namespace resex::core {
 
@@ -64,14 +61,8 @@ std::unique_ptr<PricingPolicy> make_policy(const ScenarioConfig& cfg,
 double measure_base_total_us(ScenarioConfig config) {
   config.with_interferer = false;
   config.policy = PolicyKind::kNone;
-  config.duration = 300 * sim::kMillisecond;
-  // The baseline probe runs nested inside run_scenario: it must not write
-  // over the outer trial's trace file or pollute its metrics snapshot. It
-  // also runs fault-free — the SLA baseline is the healthy-fabric latency.
-  config.trace_path.clear();
-  config.collect_metrics = false;
-  config.metrics_period = 0;
-  config.faults.clear();
+  // The baseline probe runs nested inside run_scenario.
+  make_probe(config);
   const auto result = run_scenario(config);
   return result.reporting.at(0).total_us;
 }
@@ -83,37 +74,9 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   config.qos.apply(tb_cfg.fabric);
   Testbed tb(tb_cfg);
   ScenarioResult result;
-  if (!config.trace_path.empty()) tb.sim().tracer().enable();
-
-  // --- DCQCN rate control (resex::congestion), if enabled --------------------
-  std::unique_ptr<congestion::RateController> rate_controller;
-  if (config.congestion.rate_control && config.congestion.ecn_kmax > 0) {
-    rate_controller = std::make_unique<congestion::RateController>(
-        tb.fabric(), config.congestion.dcqcn);
-  }
-
-  // --- fault injection (resex::fault), if a plan is given --------------------
-  const fault::FaultPlan fault_plan = fault::FaultPlan::parse(config.faults);
-  std::unique_ptr<fault::FaultInjector> injector;
-  if (fault_plan.any()) {
-    // Stream 0xFA17 keeps the injector's draws clear of every workload
-    // stream; keying on the scenario seed makes fault runs replicable.
-    injector = std::make_unique<fault::FaultInjector>(
-        fault_plan, sim::derive(config.seed, 0xFA17));
-    // Node A hosts dom0 and the controller — control-path delay windows
-    // apply to its hypercalls.
-    injector->arm(tb.fabric(), &tb.node_a());
-    // Surface the injector's tallies in the per-trial metrics snapshot, next
-    // to the fabric's own health counters (retransmits, qp errors).
-    tb.sim().metrics().gauge_fn(
-        "fault.drops_injected", [inj = injector.get()] {
-          return static_cast<double>(inj->drops_injected());
-        });
-    tb.sim().metrics().gauge_fn(
-        "fault.corrupts_injected", [inj = injector.get()] {
-          return static_cast<double>(inj->corrupts_injected());
-        });
-  }
+  // Node A hosts dom0 and the controller: control-path delay windows apply
+  // to its hypercalls.
+  ScenarioHarness harness(tb.sim(), tb.fabric(), tb.node_a(), config);
 
   // --- deploy the workloads --------------------------------------------------
   std::vector<benchex::BenchPair*> reporting;
@@ -160,7 +123,7 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
 
     ibmon::IbMonConfig mon_cfg{.sample_period = config.ibmon_period,
                                .mtu_bytes = tb.fabric().config().mtu_bytes};
-    if (fault_plan.any()) {
+    if (harness.faults_armed()) {
       // Under fault injection the rings can go silent (flapped link, stalled
       // HCA); let the controller detect the gap and hold its last healthy
       // observation rather than pricing on it.
@@ -195,23 +158,7 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   }
 
   // --- run --------------------------------------------------------------------
-  std::vector<obs::MetricsSnapshot> series;
-  // The periodic snapshot loop also streams every registered metric into the
-  // trace sink as counter tracks, so --trace + --metrics-period lines the
-  // metric time series up under the spans in the same file.
-  const bool metrics_series = config.collect_metrics && config.metrics_period > 0;
-  if (metrics_series ||
-      (tb.sim().tracer().enabled() && config.metrics_period > 0)) {
-    tb.sim().spawn([](sim::Simulation& sim, sim::SimDuration period,
-                      std::vector<obs::MetricsSnapshot>* out) -> sim::Task {
-      for (;;) {
-        co_await sim.delay(period);
-        if (out != nullptr) out->push_back(sim.metrics().snapshot(sim.now()));
-        sim.metrics().emit_to_tracer(sim.tracer());
-      }
-    }(tb.sim(), config.metrics_period, metrics_series ? &series : nullptr));
-  }
-  tb.sim().run_until(config.warmup + config.duration);
+  harness.run_until(config.warmup + config.duration);
 
   // --- collect ------------------------------------------------------------------
   for (std::size_t i = 0; i < reporting.size(); ++i) {
@@ -228,31 +175,13 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   if (controller != nullptr) {
     result.timeline = controller->timeline();
   }
-  if (config.collect_metrics) {
-    result.metrics = tb.sim().metrics().snapshot(tb.sim().now());
-    result.metrics_series = std::move(series);
-  }
-  if (tb.sim().tracer().enabled()) {
-    // Frame the trace: a top-level core span for the whole scenario and one
-    // for the warmup (these are the newest events, so they survive any ring
-    // wrap and every trace shows the harness layer even without a policy).
-    tb.sim().tracer().complete(
-        "scenario.warmup", "core", 0, config.warmup,
-        {"seed", static_cast<double>(config.seed)});
-    tb.sim().tracer().complete(
-        "scenario", "core", 0, tb.sim().now(),
-        {"seed", static_cast<double>(config.seed)},
-        {"reporting_vms", static_cast<double>(config.reporting_count)});
-  }
-  if (!config.trace_path.empty()) {
-    try {
-      obs::save_trace(config.trace_path, tb.sim().tracer());
-    } catch (const std::exception& e) {
-      // The scenario itself succeeded; losing the trace is not worth losing
-      // the results over.
-      std::cerr << "run_scenario: " << e.what() << "\n";
-    }
-  }
+  // Frame the trace: a top-level core span for the whole scenario and one
+  // for the warmup.
+  harness.finish(
+      result.metrics, result.metrics_series,
+      {{"scenario.warmup", "core", config.warmup},
+       {"scenario", "core", tb.sim().now(),
+        {"reporting_vms", static_cast<double>(config.reporting_count)}}});
   return result;
 }
 

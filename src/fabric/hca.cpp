@@ -647,7 +647,7 @@ Fabric::Fabric(sim::Simulation& sim, FabricConfig config)
       (!config_.qos_enabled || config_.num_vls < 2)) {
     throw std::invalid_argument(
         "Fabric: vl_shift requires qos with at least 2 lanes "
-        "(reserve_shift_lane after the qos config applies)");
+        "(apply the routing config after the qos config)");
   }
   switch_hops_ = &sim_.metrics().counter("fabric.switch_hops");
   route_rehash_ = &sim_.metrics().counter("fabric.route_rehash");

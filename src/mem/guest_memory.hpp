@@ -51,17 +51,23 @@ class GuestMemory {
     return bytes_.size() / kPageSize;
   }
 
-  /// Copy bytes into guest memory. Throws BadGuestAccess on overflow.
+  /// Copy bytes into guest memory. Throws BadGuestAccess on overflow. An
+  /// empty span (whose data() may be null) copies nothing.
   void write(GuestAddr addr, std::span<const std::byte> data) {
     check_range(addr, data.size());
-    std::memcpy(bytes_.data() + addr, data.data(), data.size());
+    if (!data.empty()) {
+      std::memcpy(bytes_.data() + addr, data.data(), data.size());
+    }
     if (dirty_tracking_) mark_dirty(addr, data.size());
   }
 
-  /// Copy bytes out of guest memory. Throws BadGuestAccess on overflow.
+  /// Copy bytes out of guest memory. Throws BadGuestAccess on overflow. An
+  /// empty span (whose data() may be null) copies nothing.
   void read(GuestAddr addr, std::span<std::byte> out) const {
     check_range(addr, out.size());
-    std::memcpy(out.data(), bytes_.data() + addr, out.size());
+    if (!out.empty()) {
+      std::memcpy(out.data(), bytes_.data() + addr, out.size());
+    }
   }
 
   /// Write a trivially-copyable object at `addr`.

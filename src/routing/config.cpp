@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "fabric/types.hpp"
+
 namespace resex::routing {
 
 const char* to_string(RouteMode mode) noexcept {
@@ -20,6 +22,11 @@ RouteMode parse_route_mode(std::string_view text) {
   if (text == "adaptive") return RouteMode::kAdaptive;
   throw std::invalid_argument("unknown routing mode '" + std::string(text) +
                               "' (expected static|ecmp|adaptive)");
+}
+
+void RoutingConfig::apply(fabric::FabricConfig& fabric) const noexcept {
+  fabric.routing = *this;
+  if (vl_shift) fabric.reserve_shift_lane();
 }
 
 }  // namespace resex::routing

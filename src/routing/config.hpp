@@ -24,6 +24,10 @@
 #include <cstdint>
 #include <string_view>
 
+namespace resex::fabric {
+struct FabricConfig;
+}
+
 namespace resex::routing {
 
 enum class RouteMode : std::uint8_t { kStatic = 0, kEcmp = 1, kAdaptive = 2 };
@@ -58,6 +62,11 @@ struct RoutingConfig {
     return mode != RouteMode::kStatic;
   }
   [[nodiscard]] bool any() const noexcept { return multipath() || vl_shift; }
+
+  /// Copy these knobs into a fabric config and, with vl_shift, reserve the
+  /// shift lane. Call it after the qos config has applied: the shift lane
+  /// must sit *above* the SL->VL map, so no service level maps onto it.
+  void apply(fabric::FabricConfig& fabric) const noexcept;
 };
 
 }  // namespace resex::routing

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <utility>
 
-#include "sim/rng.hpp"
 #include "sim/stats.hpp"
 
 namespace resex::runner {
@@ -39,49 +38,6 @@ Aggregate aggregate(const std::vector<double>& values) {
 
 Replicator::Replicator(ThreadPool& pool, std::size_t seeds, ObsOptions obs)
     : pool_(&pool), seeds_(seeds == 0 ? 1 : seeds), obs_(std::move(obs)) {}
-
-std::vector<PointOutcome> Replicator::run(
-    const std::vector<SweepPoint>& points) const {
-  // Materialize the full trial list up front: index = point * seeds +
-  // replicate fixes the ordering independently of execution interleaving.
-  std::vector<Trial> trials;
-  trials.reserve(points.size() * seeds_);
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    for (std::size_t r = 0; r < seeds_; ++r) {
-      Trial t;
-      t.index = trials.size();
-      t.point = p;
-      t.replicate = r;
-      t.config = points[p].config;
-      t.config.seed = sim::derive(points[p].config.seed, r);
-      // Each trial's simulation is deterministic in isolation, so its trace
-      // and metrics are byte-identical for any --jobs value.
-      t.config.trace_path = trial_trace_path(obs_.trace_base, p, r);
-      if (obs_.collect_metrics) t.config.collect_metrics = true;
-      if (obs_.metrics_period > 0) {
-        t.config.metrics_period = obs_.metrics_period;
-      }
-      trials.push_back(std::move(t));
-    }
-  }
-
-  std::vector<ExperimentResult> results(trials.size());
-  parallel_for(*pool_, trials.size(), [&trials, &results](std::size_t i) {
-    results[i] = run_trial(trials[i]);
-  });
-
-  std::vector<PointOutcome> out;
-  out.reserve(points.size());
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    PointOutcome po;
-    po.point = points[p];
-    po.trials.assign(results.begin() + static_cast<std::ptrdiff_t>(p * seeds_),
-                     results.begin() +
-                         static_cast<std::ptrdiff_t>((p + 1) * seeds_));
-    out.push_back(std::move(po));
-  }
-  return out;
-}
 
 std::vector<GenericOutcome> Replicator::run_generic(
     const std::vector<GenericPoint>& points) const {

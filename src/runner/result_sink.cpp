@@ -84,16 +84,6 @@ std::vector<std::vector<Aggregate>> ResultSink::aggregate_views(
   return out;
 }
 
-std::vector<std::vector<Aggregate>> ResultSink::aggregates(
-    const std::vector<PointOutcome>& outcomes) const {
-  return aggregate_views(view(outcomes));
-}
-
-std::vector<std::vector<Aggregate>> ResultSink::aggregates(
-    const std::vector<GenericOutcome>& outcomes) const {
-  return aggregate_views(view(outcomes));
-}
-
 sim::Table ResultSink::table_views(const std::vector<PointView>& views) const {
   bool with_ci = false;
   for (const auto& v : views) with_ci = with_ci || v.values.size() > 1;
@@ -115,15 +105,6 @@ sim::Table ResultSink::table_views(const std::vector<PointView>& views) const {
     table.add_row(std::move(row));
   }
   return table;
-}
-
-sim::Table ResultSink::table(const std::vector<PointOutcome>& outcomes) const {
-  return table_views(view(outcomes));
-}
-
-sim::Table ResultSink::table(
-    const std::vector<GenericOutcome>& outcomes) const {
-  return table_views(view(outcomes));
 }
 
 void ResultSink::write_json_views(std::ostream& os,
@@ -168,83 +149,12 @@ void ResultSink::write_json_views(std::ostream& os,
   os << "  ]\n}\n";
 }
 
-void ResultSink::write_json(std::ostream& os,
-                            const std::vector<PointOutcome>& outcomes) const {
-  write_json_views(os, view(outcomes));
-}
-
-void ResultSink::write_json(std::ostream& os,
-                            const std::vector<GenericOutcome>& outcomes) const {
-  write_json_views(os, view(outcomes));
-}
-
-namespace {
-template <typename Fn>
-void save_to(const std::string& what, const std::string& path, Fn&& write) {
+void save_file(const std::string& what, const std::string& path,
+               const std::function<void(std::ostream&)>& write) {
   std::ofstream out(path);
   if (!out) throw std::runtime_error(what + ": cannot open " + path);
   write(out);
   if (!out) throw std::runtime_error(what + ": write failed for " + path);
-}
-}  // namespace
-
-void ResultSink::save_json(const std::string& path,
-                           const std::vector<PointOutcome>& outcomes) const {
-  save_to("ResultSink::save_json", path,
-          [&](std::ostream& os) { write_json(os, outcomes); });
-}
-
-void ResultSink::save_json(const std::string& path,
-                           const std::vector<GenericOutcome>& outcomes) const {
-  save_to("ResultSink::save_json", path,
-          [&](std::ostream& os) { write_json(os, outcomes); });
-}
-
-void ResultSink::save_csv(const std::string& path,
-                          const std::vector<PointOutcome>& outcomes) const {
-  save_to("ResultSink::save_csv", path,
-          [&](std::ostream& os) { table(outcomes).write_csv(os); });
-}
-
-void ResultSink::save_csv(const std::string& path,
-                          const std::vector<GenericOutcome>& outcomes) const {
-  save_to("ResultSink::save_csv", path,
-          [&](std::ostream& os) { table(outcomes).write_csv(os); });
-}
-
-void write_metrics_json(std::ostream& os,
-                        const std::vector<PointOutcome>& outcomes) {
-  os << "{\"schema\":\"resex.metrics/v1\",\"trials\":[";
-  bool first = true;
-  for (const auto& po : outcomes) {
-    for (const auto& trial : po.trials) {
-      os << (first ? "\n" : ",\n");
-      first = false;
-      os << "{\"label\":\"" << json_escape(po.point.label)
-         << "\",\"point\":" << trial.point
-         << ",\"replicate\":" << trial.replicate << ",\"seed\":" << trial.seed
-         << ",\"snapshot\":" << obs::to_json(trial.scenario.metrics);
-      if (!trial.scenario.metrics_series.empty()) {
-        // Periodic snapshots (--metrics-period): the same document shape as
-        // "snapshot", ordered by sim time.
-        os << ",\"series\":[";
-        for (std::size_t s = 0; s < trial.scenario.metrics_series.size();
-             ++s) {
-          os << (s == 0 ? "" : ",")
-             << obs::to_json(trial.scenario.metrics_series[s]);
-        }
-        os << "]";
-      }
-      os << "}";
-    }
-  }
-  os << "\n]}\n";
-}
-
-void save_metrics_json(const std::string& path,
-                       const std::vector<PointOutcome>& outcomes) {
-  save_to("save_metrics_json", path,
-          [&](std::ostream& os) { write_metrics_json(os, outcomes); });
 }
 
 }  // namespace resex::runner

@@ -4,39 +4,7 @@ namespace resex::runner {
 
 std::vector<PointOutcome> run_sweep(std::vector<SweepPoint> points,
                                     const RunnerOptions& opts) {
-  if (opts.seed.has_value()) {
-    for (auto& p : points) p.config.seed = *opts.seed;
-  }
-  if (!opts.faults.empty()) {
-    for (auto& p : points) p.config.faults = opts.faults;
-  }
-  if (opts.congestion_set()) {
-    for (auto& p : points) {
-      p.config.congestion.buffer_pkts = opts.buf_pkts;
-      p.config.congestion.ecn_kmin = opts.ecn_kmin;
-      p.config.congestion.ecn_kmax = opts.ecn_kmax;
-      // Marking without reaction just loses information; the CLI pairs them.
-      p.config.congestion.rate_control = opts.ecn_kmax > 0;
-      if (opts.pool_alpha > 0.0) {
-        // --pool-alpha reinterprets --buf-bytes as the shared pool size.
-        p.config.congestion.pool_bytes = opts.buf_bytes;
-        p.config.congestion.pool_alpha = opts.pool_alpha;
-      } else {
-        p.config.congestion.buffer_bytes = opts.buf_bytes;
-      }
-      p.config.congestion.pfc = opts.pfc;
-    }
-  }
-  if (opts.qos_set()) {
-    for (auto& p : points) p.config.qos = opts.qos;
-  }
-  ThreadPool pool(opts.resolved_jobs());
-  ObsOptions obs;
-  obs.trace_base = opts.trace_path;
-  obs.collect_metrics = !opts.metrics_path.empty();
-  obs.metrics_period = static_cast<sim::SimDuration>(
-      opts.metrics_period_ms * static_cast<double>(sim::kMillisecond));
-  return Replicator(pool, opts.seeds, std::move(obs)).run(points);
+  return run_sweep(std::move(points), opts, core::run_scenario);
 }
 
 std::vector<GenericOutcome> run_generic(std::vector<GenericPoint> points,

@@ -20,11 +20,16 @@ struct Param {
   std::string value;
 };
 
-struct SweepPoint {
+/// One point of a sweep over any scenario config type.
+template <typename Config>
+struct ScenarioPoint {
   std::string label;          // human label for the table's first column
   std::vector<Param> params;  // machine-readable assignments for JSON/CSV
-  core::ScenarioConfig config;
+  Config config;
 };
+
+/// A two-node testbed point (core::ScenarioConfig).
+using SweepPoint = ScenarioPoint<core::ScenarioConfig>;
 
 class Sweep {
  public:

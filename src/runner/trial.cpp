@@ -2,16 +2,6 @@
 
 namespace resex::runner {
 
-ExperimentResult run_trial(const Trial& trial) {
-  ExperimentResult r;
-  r.index = trial.index;
-  r.point = trial.point;
-  r.replicate = trial.replicate;
-  r.seed = trial.config.seed;
-  r.scenario = core::run_scenario(trial.config);
-  return r;
-}
-
 std::string trial_trace_path(const std::string& base, std::size_t point,
                              std::size_t replicate) {
   if (base.empty() || (point == 0 && replicate == 0)) return base;

@@ -1,9 +1,9 @@
 #pragma once
-// Trial: the unit of work the runner schedules. One (ScenarioConfig, seed)
-// pair, positioned by (point, replicate) inside a sweep; running it yields
-// an ExperimentResult. Trials share no mutable state — each one builds its
-// own Testbed inside core::run_scenario — so any number of them can execute
-// concurrently and still produce results identical to a serial run.
+// Trial results: one (scenario config, seed) run, positioned by (point,
+// replicate) inside a sweep. Trials share no mutable state — each one builds
+// its own simulation inside the scenario function — so any number of them
+// can execute concurrently and still produce results identical to a serial
+// run.
 
 #include <cstddef>
 #include <cstdint>
@@ -13,25 +13,19 @@
 
 namespace resex::runner {
 
-struct Trial {
+/// Outcome of one trial: the full scenario result plus the coordinates and
+/// seed needed to reproduce it in isolation.
+template <typename Result>
+struct TrialResult {
   std::size_t index = 0;      // global position; fixes result ordering
   std::size_t point = 0;      // sweep-point index
   std::size_t replicate = 0;  // seed-replicate index within the point
-  core::ScenarioConfig config;  // config.seed already derived for this trial
+  std::uint64_t seed = 0;     // the derived seed the trial ran with
+  Result scenario;
 };
 
-/// Outcome of one trial: the full scenario result plus the coordinates and
-/// seed needed to reproduce it in isolation.
-struct ExperimentResult {
-  std::size_t index = 0;
-  std::size_t point = 0;
-  std::size_t replicate = 0;
-  std::uint64_t seed = 0;
-  core::ScenarioResult scenario;
-};
-
-/// Run one trial to completion (wraps core::run_scenario).
-[[nodiscard]] ExperimentResult run_trial(const Trial& trial);
+/// A two-node testbed trial (core::run_scenario).
+using ExperimentResult = TrialResult<core::ScenarioResult>;
 
 /// Per-trial trace file path derived from a base path: trial (0, 0) gets
 /// `base` verbatim (the single-trial case keeps the name the user asked

@@ -17,7 +17,7 @@
 #include "cluster/topology.hpp"
 #include "core/cluster_exchange.hpp"
 #include "core/testbed.hpp"
-#include "runner/cluster_runner.hpp"
+#include "runner/runner.hpp"
 
 namespace resex::cluster {
 namespace {
@@ -293,9 +293,9 @@ TEST(ClusterScenario, RepeatedRunsAreBitIdentical) {
 
 TEST(ClusterRunner, ResultsAreIndependentOfJobCount) {
   auto make_points = [] {
-    std::vector<runner::ClusterPoint> points;
+    std::vector<runner::ScenarioPoint<ClusterScenarioConfig>> points;
     for (const bool migrate : {false, true}) {
-      runner::ClusterPoint p;
+      runner::ScenarioPoint<ClusterScenarioConfig> p;
       p.label = migrate ? "resex" : "static";
       p.params = {{"migrate", migrate ? "1" : "0"}};
       p.config.nodes = 4;
@@ -311,17 +311,20 @@ TEST(ClusterRunner, ResultsAreIndependentOfJobCount) {
   runner::RunnerOptions opts;
   opts.seeds = 2;
   opts.jobs = 1;
-  const auto serial = runner::run_cluster(make_points(), opts);
+  const auto serial =
+      runner::run_sweep(make_points(), opts, run_cluster_scenario);
   opts.jobs = 4;
-  const auto parallel = runner::run_cluster(make_points(), opts);
+  const auto parallel =
+      runner::run_sweep(make_points(), opts, run_cluster_scenario);
 
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t p = 0; p < serial.size(); ++p) {
-    EXPECT_EQ(serial[p].label, parallel[p].label);
-    EXPECT_EQ(serial[p].seeds, parallel[p].seeds);
+    EXPECT_EQ(serial[p].point.label, parallel[p].point.label);
     ASSERT_EQ(serial[p].trials.size(), parallel[p].trials.size());
     for (std::size_t r = 0; r < serial[p].trials.size(); ++r) {
-      expect_same_result(serial[p].trials[r], parallel[p].trials[r]);
+      EXPECT_EQ(serial[p].trials[r].seed, parallel[p].trials[r].seed);
+      expect_same_result(serial[p].trials[r].scenario,
+                         parallel[p].trials[r].scenario);
     }
   }
 }

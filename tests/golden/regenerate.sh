@@ -15,7 +15,9 @@ parallel=${2:-1}
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-cases=$(grep -v -e '^#' -e '^[[:space:]]*$' "$here/cases.txt")
+# Twins (<name>=<case>) check another case's digests and have none of
+# their own, so they are not run here.
+cases=$(grep -v -e '^#' -e '^[[:space:]]*$' -e '^[^ ]*=' "$here/cases.txt")
 
 # One xargs line per case: name, bench, then the bench's arguments.
 echo "$cases" | xargs -P "$parallel" -L 1 sh -c '

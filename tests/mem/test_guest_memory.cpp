@@ -4,6 +4,8 @@
 
 #include <array>
 #include <cstring>
+#include <limits>
+#include <span>
 
 namespace resex::mem {
 namespace {
@@ -59,6 +61,34 @@ TEST(GuestMemory, OverflowingAddressDoesNotWrap) {
   std::array<std::byte, 1> buf{};
   EXPECT_THROW(m.read(~GuestAddr{0}, buf), BadGuestAccess);
 }
+
+TEST(GuestMemory, EmptySpansCopyNothingButAreRangeChecked) {
+  // A default-constructed span has a null data(); passing it to memcpy is
+  // undefined even at length 0 (WQEs without a header reach read() so).
+  GuestMemory m(1);
+  m.write_obj<std::uint32_t>(0, 0xdeadbeef);
+  m.write(0, std::span<const std::byte>{});
+  m.read(0, std::span<std::byte>{});
+  m.read(kPageSize, std::span<std::byte>{});  // the end is a valid empty range
+  EXPECT_EQ(m.read_obj<std::uint32_t>(0), 0xdeadbeefu);
+  EXPECT_THROW(m.write(kPageSize + 1, std::span<const std::byte>{}),
+               BadGuestAccess);
+  EXPECT_THROW(m.read(kPageSize + 1, std::span<std::byte>{}), BadGuestAccess);
+}
+
+#ifdef RESEX_UBSAN
+// Builds with -fsanitize=undefined compile with -fno-sanitize-recover, so a
+// finding fails the test that hit it instead of scrolling past in the log.
+TEST(Sanitizers, UndefinedBehaviourIsFatal) {
+  volatile int big = std::numeric_limits<int>::max();
+  EXPECT_DEATH(
+      {
+        volatile int sum = big + 1;
+        (void)sum;
+      },
+      "runtime error");
+}
+#endif
 
 TEST(GuestMemory, ZeroRange) {
   GuestMemory m(1);

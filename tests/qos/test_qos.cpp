@@ -108,6 +108,7 @@ TEST(QosArbiter, HiLimitKeepsTheLowTableStarvationFree) {
   int low_wait = 0, worst_wait = 0;
   for (int i = 0; i < 1000; ++i) {
     const std::uint8_t vl = arb.pick(0b11);
+    ASSERT_LT(vl, grants.size());  // a non-empty mask yields a member
     ++grants[vl];
     low_wait = vl == 1 ? 0 : low_wait + 1;
     worst_wait = std::max(worst_wait, low_wait);

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "cluster/scenario.hpp"
 #include "sim/rng.hpp"
 
 namespace resex::runner {
@@ -112,6 +113,60 @@ TEST(Options, EqualsSyntaxAndErrors) {
   EXPECT_THROW((void)parse_options(3, zero), std::invalid_argument);
   const char* missing[] = {"bench", "--json"};
   EXPECT_THROW((void)parse_options(2, missing), std::invalid_argument);
+}
+
+TEST(Overrides, BothScenarioTypesTakeTheSameFlags) {
+  const char* argv[] = {"bench",       "--seed",     "9",   "--faults",
+                        "drop=0.01",   "--buf-pkts", "32",  "--ecn-kmin",
+                        "8",           "--ecn-kmax", "24",  "--qos",
+                        "--routing",   "ecmp"};
+  const auto opts = parse_options(14, argv);
+  cluster::ClusterScenarioConfig cluster;
+  apply_overrides(cluster, opts);
+  EXPECT_EQ(cluster.seed, 9u);
+  EXPECT_EQ(cluster.faults, "drop=0.01");
+  EXPECT_EQ(cluster.congestion.buffer_pkts, 32u);
+  EXPECT_EQ(cluster.congestion.ecn_kmin, 8u);
+  EXPECT_TRUE(cluster.congestion.rate_control);
+  EXPECT_TRUE(cluster.qos.enabled);
+  EXPECT_EQ(cluster.routing.mode, routing::RouteMode::kEcmp);
+
+  // Without the routing flag the two-node config takes the same values.
+  const char* no_routing[] = {"bench",     "--seed",     "9",  "--faults",
+                              "drop=0.01", "--buf-pkts", "32", "--ecn-kmin",
+                              "8",         "--ecn-kmax", "24", "--qos"};
+  core::ScenarioConfig two_node;
+  apply_overrides(two_node, parse_options(12, no_routing));
+  EXPECT_EQ(two_node.seed, 9u);
+  EXPECT_EQ(two_node.faults, "drop=0.01");
+  EXPECT_EQ(two_node.congestion.buffer_pkts, 32u);
+  EXPECT_EQ(two_node.congestion.ecn_kmin, 8u);
+  EXPECT_TRUE(two_node.congestion.rate_control);
+  EXPECT_TRUE(two_node.qos.enabled);
+}
+
+TEST(Overrides, RoutingFlagsAreRejectedOnTwoNodeSweeps) {
+  // The two-node testbed has no routing field: a sweep over it refuses
+  // --routing/--ecmp-seed/--vl-shift before any trial runs rather than
+  // silently dropping them.
+  core::ScenarioConfig cfg;
+  cfg.warmup = 10 * sim::kMillisecond;
+  cfg.duration = 20 * sim::kMillisecond;
+  Sweep sweep(cfg);
+  sweep.point("only", [](core::ScenarioConfig&) {});
+  const std::vector<std::vector<const char*>> argvs = {
+      {"bench", "--routing", "ecmp"},
+      {"bench", "--routing", "adaptive", "--ecmp-seed", "3"},
+      {"bench", "--qos", "--vl-shift"}};
+  for (const auto& argv : argvs) {
+    const auto opts =
+        parse_options(static_cast<int>(argv.size()), argv.data());
+    EXPECT_THROW((void)run_sweep(sweep.points(), opts), std::invalid_argument)
+        << argv[1];
+  }
+  // --routing static is the two-node testbed's own forwarding.
+  const char* fixed[] = {"bench", "--routing", "static"};
+  EXPECT_NO_THROW((void)run_sweep(sweep.points(), parse_options(3, fixed)));
 }
 
 // --- the determinism guarantee ---------------------------------------------
