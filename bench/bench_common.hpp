@@ -6,6 +6,7 @@
 // run_figure_bench / run_generic_bench below are the shared drivers.
 
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <functional>
 #include <iostream>
@@ -15,11 +16,18 @@
 #include <utility>
 #include <vector>
 
+#include "cluster/topology.hpp"
+#include "collective/collective.hpp"
+#include "congestion/dcqcn.hpp"
 #include "core/experiment.hpp"
 #include "fabric/verbs.hpp"
+#include "fault/fault.hpp"
 #include "hv/node.hpp"
+#include "qos/config.hpp"
+#include "routing/config.hpp"
 #include "runner/runner.hpp"
 #include "sim/report.hpp"
+#include "sim/rng.hpp"
 #include "sim/stats.hpp"
 
 namespace resex::bench {
@@ -69,6 +77,81 @@ inline runner::RunnerOptions parse_cli(int argc, char** argv) {
   if (opts.help) {
     runner::print_usage(std::cout, argv[0]);
     std::exit(0);
+  }
+  return opts;
+}
+
+/// The scenario flags a generic bench reads, on top of the runner's own
+/// --jobs, --seeds, --seed, --json and --csv.
+enum Reads : unsigned {
+  kReadsNone = 0,
+  kReadsBufPkts = 1u << 0,   // --buf-pkts
+  kReadsEcn = 1u << 1,       // --ecn-kmin/--ecn-kmax
+  kReadsFaults = 1u << 2,    // --faults
+  kReadsColl = 1u << 3,      // --coll-*
+  kReadsEcmpSeed = 1u << 4,  // --ecmp-seed, with the --routing it requires
+};
+
+/// The first flag set in `opts` that a bench reading only `reads` would
+/// drop, or null.
+inline const char* unread_flag(const runner::RunnerOptions& opts,
+                               unsigned reads) {
+  const bool ecmp_seed = (reads & kReadsEcmpSeed) != 0;
+  const bool coll = (reads & kReadsColl) != 0;
+  const std::pair<bool, const char*> flags[] = {
+      {!opts.trace_path.empty(), "--trace"},
+      {!opts.metrics_path.empty(), "--metrics-json"},
+      {opts.metrics_period_ms > 0.0, "--metrics-period"},
+      {!opts.faults.empty() && (reads & kReadsFaults) == 0, "--faults"},
+      {opts.buf_pkts > 0 && (reads & kReadsBufPkts) == 0, "--buf-pkts"},
+      {opts.ecn_kmax > 0 && (reads & kReadsEcn) == 0, "--ecn-kmin/--ecn-kmax"},
+      {opts.buf_bytes > 0, "--buf-bytes"},
+      {opts.pool_alpha > 0.0, "--pool-alpha"},
+      {opts.pfc, "--pfc"},
+      {opts.qos_set(), "--qos"},
+      {opts.routing.multipath() &&
+           !(ecmp_seed && opts.ecmp_seed_set),
+       "--routing"},
+      {opts.ecmp_seed_set && !ecmp_seed, "--ecmp-seed"},
+      {opts.routing.vl_shift, "--vl-shift"},
+      {opts.coll_ranks > 0 && !coll, "--coll-ranks"},
+      {opts.coll_bytes > 0 && !coll, "--coll-bytes"},
+      {opts.coll_chunk > 0 && !coll, "--coll-chunk"},
+      {!opts.coll_algo.empty() && !coll, "--coll-algo"},
+      {opts.coll_iters > 0 && !coll, "--coll-iters"},
+  };
+  for (const auto& [set, flag] : flags) {
+    if (set) return flag;
+  }
+  return nullptr;
+}
+
+/// parse_cli for generic benches: a scenario flag the bench does not read is
+/// reported like a bad flag, before any trial runs: one line on stderr,
+/// exit 2.
+inline runner::RunnerOptions parse_generic_cli(int argc, char** argv,
+                                               unsigned reads) {
+  auto opts = parse_cli(argc, argv);
+  if (const char* flag = unread_flag(opts, reads)) {
+    std::cerr << argv[0] << ": " << flag << ": not read by this bench\n";
+    std::exit(2);
+  }
+  return opts;
+}
+
+/// `opts` with `infix` inserted before the extension of the --json/--csv
+/// paths ("out.json" -> "out.ring.json"), so a bench's second table never
+/// clobbers the first table's files.
+inline runner::RunnerOptions with_export_infix(runner::RunnerOptions opts,
+                                               const std::string& infix) {
+  for (std::string* path : {&opts.json_path, &opts.csv_path}) {
+    if (path->empty()) continue;
+    const auto dot = path->rfind('.');
+    if (dot == std::string::npos) {
+      *path += infix;
+    } else {
+      path->insert(dot, infix);
+    }
   }
   return opts;
 }
@@ -166,8 +249,9 @@ inline auto replicate_means(
 }
 
 /// As run_figure_bench, but for benches whose trials are not a single
-/// run_scenario call (generic seed -> metric-values points). `summary`, when
-/// given, prints its conclusions from the outcomes after the table.
+/// run_scenario call (generic seed -> metric-values points), so there is no
+/// simulation to trace; parse their CLI with parse_generic_cli. `summary`,
+/// when given, prints its conclusions from the outcomes after the table.
 inline int run_generic_bench(
     const runner::RunnerOptions& opts, const std::string& figure,
     const std::string& what, std::vector<runner::GenericPoint> points,
@@ -175,12 +259,6 @@ inline int run_generic_bench(
     const std::function<void(const std::vector<runner::GenericOutcome>&)>&
         summary = {}) {
   print_scenario_header(figure, what);
-  if (!opts.trace_path.empty() || !opts.metrics_path.empty()) {
-    // Generic trials are opaque seed -> values functions; they do not run
-    // through core::run_scenario, so there is no simulation to observe.
-    std::cerr << figure
-              << ": --trace/--metrics-json are ignored by generic benches\n";
-  }
   const auto t0 = std::chrono::steady_clock::now();
   const auto outcomes = runner::run_generic(std::move(points), opts);
   const double wall_ms =
@@ -195,7 +273,94 @@ inline int run_generic_bench(
   return rc;
 }
 
-// --- hand-built fabric workloads (fig_incast, fig_pfc, fig_qos, fig_routing)
+// --- hand-built fabric workloads (fig_incast, fig_pfc, fig_qos, fig_routing,
+// fig_allreduce)
+
+/// One fabric-mode row: finite switch buffers, ECN marking with DCQCN rate
+/// control, PFC, and qos lanes (two classes, optionally with lane shifts).
+struct FabricMode {
+  std::string name{};
+  std::uint32_t buf_pkts = 0;  // 0 = infinite (lossless)
+  std::uint32_t ecn_kmin = 0;
+  std::uint32_t ecn_kmax = 0;
+  bool rate_control = false;
+  congestion::DcqcnConfig dcqcn{};
+  bool pfc = false;
+  bool qos = false;       // SL0 (latency) -> VL0 high table, SL1 (bulk) -> VL1
+  bool vl_shift = false;  // qos lanes plus deadlock-free lane shifts
+
+  void apply(fabric::FabricConfig& cfg) const {
+    cfg.port_buffer_pkts = buf_pkts;
+    cfg.ecn_kmin_pkts = ecn_kmin;
+    cfg.ecn_kmax_pkts = ecn_kmax;
+    cfg.pfc_enabled = pfc;
+    if (qos || vl_shift) {
+      qos::QosConfig q;
+      q.enabled = true;
+      q.apply(cfg);
+    }
+    if (vl_shift) routing::RoutingConfig{.vl_shift = true}.apply(cfg);
+  }
+
+  /// The DCQCN controller of a rate-controlled row, else null.
+  [[nodiscard]] std::unique_ptr<congestion::RateController> rate_controller(
+      fabric::Fabric& fabric) const {
+    if (!rate_control) return nullptr;
+    return std::make_unique<congestion::RateController>(fabric, dcqcn);
+  }
+};
+
+/// The standard rows, sized from --buf-pkts (default 64 packets) with ECN
+/// marking from --ecn-kmin to --ecn-kmax (default: a quarter to three
+/// quarters of the buffer).
+struct StandardModes {
+  std::uint32_t buf = 0;
+  std::uint32_t kmin = 0;
+  std::uint32_t kmax = 0;
+  FabricMode lossless, taildrop, ecn, pfc, pfc_vlshift;
+
+  /// "buf=64 pkts, Kmin=16, Kmax=48", for the bench headers.
+  [[nodiscard]] std::string describe() const {
+    return "buf=" + std::to_string(buf) + " pkts, Kmin=" +
+           std::to_string(kmin) + ", Kmax=" + std::to_string(kmax);
+  }
+};
+
+inline StandardModes standard_modes(const runner::RunnerOptions& opts) {
+  StandardModes m;
+  m.buf = opts.buf_pkts > 0 ? opts.buf_pkts : 64;
+  m.kmin = opts.ecn_kmax > 0 ? opts.ecn_kmin : m.buf / 4;
+  m.kmax = opts.ecn_kmax > 0 ? opts.ecn_kmax : (m.buf * 3) / 4;
+  m.lossless = {.name = "lossless"};
+  m.taildrop = {.name = "taildrop", .buf_pkts = m.buf};
+  m.ecn = {.name = "ecn+dcqcn",
+           .buf_pkts = m.buf,
+           .ecn_kmin = m.kmin,
+           .ecn_kmax = m.kmax,
+           .rate_control = true};
+  m.pfc = {.name = "pfc", .buf_pkts = m.buf, .pfc = true};
+  m.pfc_vlshift = {
+      .name = "pfc+vlshift", .buf_pkts = m.buf, .pfc = true, .vl_shift = true};
+  return m;
+}
+
+/// A cluster running one fabric mode: the mode applied to its fabric, and
+/// its rate controller (if any) installed before any QP exists.
+struct ModeCluster {
+  ModeCluster(cluster::ClusterConfig cfg, const FabricMode& mode)
+      : cluster(with_mode(std::move(cfg), mode)),
+        rate_controller(mode.rate_controller(cluster.fabric())) {}
+
+  cluster::Cluster cluster;
+  std::unique_ptr<congestion::RateController> rate_controller;
+
+ private:
+  static cluster::ClusterConfig with_mode(cluster::ClusterConfig cfg,
+                                          const FabricMode& mode) {
+    mode.apply(cfg.fabric);
+    return cfg;
+  }
+};
 
 /// One guest with a verbs context, one QP and a single registered buffer
 /// (the test fixture's endpoint bundle; benches cannot link the test tree).
@@ -254,6 +419,240 @@ inline sim::Task sender_loop(sim::Simulation& sim, Endpoint& ep,
       latency_us.add(static_cast<double>(sim.now() - t0) / 1e3);
     }
   }
+}
+
+/// One directed closed-loop flow: `src` RDMA-writes 64KB blocks into its own
+/// slot of `dst`'s receive region, with both QPs on service level `sl`.
+struct Flow {
+  std::uint32_t src = 0;
+  std::uint32_t dst = 0;
+  std::uint8_t sl = 0;
+};
+
+/// The N:1 incast on a star cluster: nodes 1..N write into node 0.
+inline std::vector<Flow> incast_flows(std::uint32_t senders) {
+  std::vector<Flow> flows;
+  for (std::uint32_t i = 0; i < senders; ++i) flows.push_back({i + 1, 0});
+  return flows;
+}
+
+struct FlowWorkload {
+  /// Setup runs in list order: first one receive endpoint per destination
+  /// (in node order), then per flow its sender endpoint and receive QP. QP
+  /// numbers are fabric-global, so this order is part of every output.
+  std::vector<Flow> flows{};
+  /// Flows draw their start jitter and start in list order from this index,
+  /// wrapping around.
+  std::size_t first_start = 0;
+  /// Start jitter (uniform in [0, 10us)) comes from sim::derive(seed, tag).
+  std::uint64_t jitter_tag = 0;
+  sim::SimDuration measure = 0;
+  /// Run on past the window so in-flight retransmissions land.
+  sim::SimDuration drain = 0;
+  /// Called at the end of warmup, after the downlink snapshot.
+  std::function<void()> at_warmup{};
+};
+
+/// The head-of-line fat-tree of fig_pfc and fig_qos: 8 hosts, 4 per leaf,
+/// one spine. Fat (8x) trunks: the 3 GiB/s the aggressors and the victim can
+/// offer never congests them on its own — only PFC's backpressure fills them.
+inline cluster::ClusterConfig hol_fat_tree() {
+  cluster::ClusterConfig cfg;
+  cfg.nodes = 8;
+  cfg.topology = cluster::TopologyKind::kFatTree;
+  cfg.leaf_width = 4;
+  cfg.spines = 1;
+  cfg.trunk_bandwidth_scale = 8.0;
+  return cfg;
+}
+
+/// Its workload: aggressors n1..n<aggressors> (leaf 0) incast into n4 (leaf
+/// 1) on `bulk_sl` while the victim n0 -> n5 (flow 0, on SL0) shares only the
+/// trunks with them. The victim is set up first but starts last.
+inline FlowWorkload hol_workload(std::uint32_t aggressors,
+                                 std::uint8_t bulk_sl) {
+  FlowWorkload wl{.flows = {{0, 5}},
+                  .first_start = 1,
+                  .jitter_tag = 0x9fc,
+                  .measure = 300_ms,
+                  .drain = 50_ms};
+  for (std::uint32_t i = 0; i < aggressors; ++i) {
+    wl.flows.push_back({i + 1, 4, bulk_sl});
+  }
+  return wl;
+}
+
+struct FlowResult {
+  std::vector<sim::Samples> latency_us;     // per flow, after warmup
+  std::vector<std::uint64_t> window_bytes;  // per node: downlink, past warmup
+  double window_s = 0.0;                    // measure + drain
+
+  [[nodiscard]] double mbps(std::uint64_t bytes) const {
+    return static_cast<double>(bytes) / window_s / 1e6;
+  }
+  /// The latencies of flows [first, end) in one sample set.
+  [[nodiscard]] sim::Samples pooled(std::size_t first = 0) const {
+    sim::Samples all;
+    for (std::size_t f = first; f < latency_us.size(); ++f) {
+      for (const double v : latency_us[f].values()) all.add(v);
+    }
+    return all;
+  }
+};
+
+/// Every flow workload measures after 100 ms of warmup.
+inline constexpr sim::SimDuration kFlowWarmup = 100_ms;
+
+/// Runs `wl` on `cl` from time 0 to warmup + measure + drain.
+inline FlowResult run_flows(cluster::Cluster& cl, const FlowWorkload& wl,
+                            std::uint64_t seed) {
+  constexpr std::uint32_t kWriteBytes = 64 * 1024;
+  const std::uint32_t nodes = cl.node_count();
+  const std::size_t n = wl.flows.size();
+  std::vector<std::uint32_t> fan_in(nodes, 0);
+  for (const Flow& f : wl.flows) ++fan_in[f.dst];
+  std::vector<Endpoint> recv(nodes);
+  for (std::uint32_t d = 0; d < nodes; ++d) {
+    if (fan_in[d] == 0) continue;
+    recv[d] = make_endpoint(cl.node(d), cl.hca(d),
+                            "recv_vm" + std::to_string(d),
+                            std::uint64_t{fan_in[d]} * kWriteBytes);
+  }
+  std::vector<Endpoint> send;
+  send.reserve(n);
+  std::vector<mem::GuestAddr> slot(n);
+  std::vector<std::uint32_t> used(nodes, 0);
+  for (std::size_t f = 0; f < n; ++f) {
+    const Flow& fl = wl.flows[f];
+    Endpoint& r = recv[fl.dst];
+    send.push_back(make_endpoint(cl.node(fl.src), cl.hca(fl.src),
+                                 "send_vm" + std::to_string(f), kWriteBytes));
+    fabric::QueuePair& rqp =
+        cl.hca(fl.dst).create_qp(*r.domain, r.pd, *r.send_cq, *r.recv_cq);
+    send.back().qp->set_service_level(fl.sl);
+    rqp.set_service_level(fl.sl);
+    fabric::Fabric::connect(*send.back().qp, rqp);
+    slot[f] = r.buf + std::uint64_t{used[fl.dst]++} * kWriteBytes;
+  }
+
+  sim::Simulation& sim = cl.sim();
+  const sim::SimTime end = kFlowWarmup + wl.measure;
+  FlowResult res;
+  res.latency_us.resize(n);
+  sim::Rng jitter(sim::derive(seed, wl.jitter_tag));
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t f = (wl.first_start + k) % n;
+    const auto start = static_cast<sim::SimDuration>(
+        jitter.uniform(0.0, static_cast<double>(10_us)));
+    const Endpoint& r = recv[wl.flows[f].dst];
+    sim.spawn(sender_loop(sim, send[f], slot[f], r.mr.rkey, kWriteBytes,
+                          start, kFlowWarmup, end, res.latency_us[f]));
+  }
+
+  // Goodput is measured past warmup only.
+  std::vector<std::uint64_t> bytes_at_warmup(nodes, 0);
+  sim.spawn([](cluster::Cluster& c, const FlowWorkload& w,
+               std::vector<std::uint64_t>& bytes) -> sim::Task {
+    co_await c.sim().delay(kFlowWarmup);
+    for (std::uint32_t d = 0; d < c.node_count(); ++d) {
+      bytes[d] = c.hca(d).downlink().bytes_sent();
+    }
+    if (w.at_warmup) w.at_warmup();
+  }(cl, wl, bytes_at_warmup));
+
+  sim.run_until(end + wl.drain);
+
+  for (std::uint32_t d = 0; d < nodes; ++d) {
+    res.window_bytes.push_back(cl.hca(d).downlink().bytes_sent() -
+                               bytes_at_warmup[d]);
+  }
+  res.window_s = sim::to_sec(wl.measure + wl.drain);
+  return res;
+}
+
+/// Closed-form uncongested completion time of one collective iteration at
+/// link rate `bps`.
+inline double ideal_seconds(const collective::CollectiveConfig& c,
+                            double bps) {
+  const double s = static_cast<double>(c.payload_bytes);
+  const double n = c.ranks;
+  switch (c.algorithm) {
+    case collective::Algorithm::kRingAllReduce:
+      return 2.0 * (n - 1.0) * (s / n) / bps;
+    case collective::Algorithm::kAllGather:
+      return (n - 1.0) * s / bps;  // sum over steps of 2^s blocks
+    case collective::Algorithm::kBroadcast:
+      return std::ceil(std::log2(n)) * s / bps;
+  }
+  return 0.0;
+}
+
+struct RingOutcome {
+  bool finished = false;  // the group completed or aborted in time
+  collective::CollectiveResult result;
+  double ideal_s = 0.0;  // closed form, all iterations
+  double retx = 0.0;
+  double drops = 0.0;
+  double marks = 0.0;
+  double pauses = 0.0;
+};
+
+/// One collective group of `coll.ranks` hosts. The star puts rank r on node
+/// r. The fat-tree has two leaves over one 1x spine trunk and stripes ranks
+/// across them (rank r on leaf r % 2), so every ring edge crosses the trunk
+/// and it is leaf_width:1 oversubscribed. `faults` (a fault::FaultPlan spec,
+/// empty = none) is armed before the group starts. The run stops at
+/// `horizon`, or, when that is 0, at 100x the closed form plus 2 s:
+/// congested runs take a few times ideal, and a flapped ring also burns the
+/// full RC retry budget (~255 ms per death).
+inline RingOutcome run_ring_trial(cluster::TopologyKind topo,
+                                  const FabricMode& mode,
+                                  const collective::CollectiveConfig& coll,
+                                  const std::string& faults,
+                                  std::uint64_t seed,
+                                  sim::SimTime horizon = 0) {
+  const std::uint32_t ranks = coll.ranks;
+  cluster::ClusterConfig cfg;
+  cfg.nodes = ranks;
+  cfg.pcpus_per_node = 2;
+  cfg.topology = topo;
+  cfg.leaf_width = (ranks + 1) / 2;
+  cfg.spines = 1;
+  cfg.trunk_bandwidth_scale = 1.0;
+  ModeCluster mc(cfg, mode);
+  cluster::Cluster& cl = mc.cluster;
+  std::unique_ptr<fault::FaultInjector> injector;
+  if (!faults.empty()) {
+    injector = std::make_unique<fault::FaultInjector>(
+        fault::FaultPlan::parse(faults), seed);
+    injector->arm(cl.fabric(), &cl.node(0));
+  }
+
+  std::vector<collective::RankHome> homes(ranks);
+  for (std::uint32_t r = 0; r < ranks; ++r) {
+    const std::uint32_t node = topo == cluster::TopologyKind::kFatTree
+                                   ? (r % 2) * cfg.leaf_width + r / 2
+                                   : r;
+    homes[r] = collective::RankHome{&cl.node(node), &cl.hca(node)};
+  }
+  collective::CollectiveGroup group(cl.sim(), std::move(homes), coll);
+  group.start();
+
+  RingOutcome out;
+  out.ideal_s = ideal_seconds(coll, cl.fabric().config().link_bytes_per_sec) *
+                coll.iterations;
+  cl.sim().run_until(horizon > 0 ? horizon
+                                 : static_cast<sim::SimDuration>(
+                                       out.ideal_s * 1e9 * 100) +
+                                       2'000_ms);
+  out.finished = group.done();
+  out.result = group.result();
+  auto& m = cl.sim().metrics();
+  out.retx = static_cast<double>(m.counter("fabric.retransmits").value());
+  out.drops = static_cast<double>(m.counter("fabric.buf_drops").value());
+  out.marks = static_cast<double>(m.counter("fabric.ecn_marks").value());
+  out.pauses = static_cast<double>(m.counter("fabric.pfc_pauses").value());
+  return out;
 }
 
 }  // namespace resex::bench

@@ -34,135 +34,42 @@
 // (a flapped ring terminates through the RC retry budget, reported as ok=0).
 // Per-trial results are byte-identical for any --jobs value.
 
-#include <cmath>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "cluster/topology.hpp"
-#include "collective/collective.hpp"
-#include "congestion/dcqcn.hpp"
-#include "fault/fault.hpp"
-#include "qos/config.hpp"
 
 namespace {
 
 using namespace resex;
-using namespace resex::sim::literals;
-
-struct Mode {
-  std::string name;
-  std::uint32_t buf_pkts = 0;  // 0 = infinite (lossless)
-  std::uint32_t ecn_kmin = 0;
-  std::uint32_t ecn_kmax = 0;
-  bool rate_control = false;
-  bool pfc = false;
-  bool vl_shift = false;  // qos lanes + deadlock-free lane shifts
-};
-
-struct Workload {
-  collective::CollectiveConfig coll;
-  std::string faults;  // empty = fault-free
-};
-
-/// Closed-form uncongested completion time of one iteration at link rate B.
-double ideal_seconds(const collective::CollectiveConfig& c, double bps) {
-  const double s = static_cast<double>(c.payload_bytes);
-  const double n = c.ranks;
-  switch (c.algorithm) {
-    case collective::Algorithm::kRingAllReduce:
-      return 2.0 * (n - 1.0) * (s / n) / bps;
-    case collective::Algorithm::kAllGather:
-      return (n - 1.0) * s / bps;  // sum over steps of 2^s blocks
-    case collective::Algorithm::kBroadcast:
-      return std::ceil(std::log2(n)) * s / bps;
-  }
-  return 0.0;
-}
+using namespace resex::bench;
 
 std::vector<double> run_allreduce(cluster::TopologyKind topo,
-                                  const Mode& mode, const Workload& wl,
+                                  const FabricMode& mode,
+                                  const collective::CollectiveConfig& coll,
+                                  const std::string& faults,
                                   std::uint64_t seed) {
-  const std::uint32_t ranks = wl.coll.ranks;
-  cluster::ClusterConfig cfg;
-  cfg.nodes = ranks;
-  cfg.pcpus_per_node = 2;
-  cfg.topology = topo;
-  // Two leaves, one spine, trunk at host-port rate: the striped ring is
-  // leaf_width:1 oversubscribed on the trunk.
-  cfg.leaf_width = (ranks + 1) / 2;
-  cfg.spines = 1;
-  cfg.trunk_bandwidth_scale = 1.0;
-  cfg.fabric.port_buffer_pkts = mode.buf_pkts;
-  cfg.fabric.ecn_kmin_pkts = mode.ecn_kmin;
-  cfg.fabric.ecn_kmax_pkts = mode.ecn_kmax;
-  cfg.fabric.pfc_enabled = mode.pfc;
-  if (mode.vl_shift) {
-    // Lane shifts need qos lanes: default two-class map (collectives ride
-    // the bulk SL), then one reserved lane above it for shifted traffic.
-    qos::QosConfig qcfg;
-    qcfg.enabled = true;
-    qcfg.apply(cfg.fabric);
-    routing::RoutingConfig{.vl_shift = true}.apply(cfg.fabric);
-  }
-  cluster::Cluster cluster(cfg);
-  auto& sim = cluster.sim();
-
-  std::unique_ptr<congestion::RateController> rate_controller;
-  if (mode.rate_control) {
-    rate_controller =
-        std::make_unique<congestion::RateController>(cluster.fabric());
-  }
-  std::unique_ptr<fault::FaultInjector> injector;
-  if (!wl.faults.empty()) {
-    injector = std::make_unique<fault::FaultInjector>(
-        fault::FaultPlan::parse(wl.faults), seed);
-    injector->arm(cluster.fabric(), &cluster.node(0));
-  }
-
-  // Star: rank r on node r. Fat-tree: stripe ranks across the two leaves so
-  // every ring edge (r, r+1) crosses the trunk.
-  std::vector<collective::RankHome> homes(ranks);
-  for (std::uint32_t r = 0; r < ranks; ++r) {
-    const std::uint32_t node = topo == cluster::TopologyKind::kFatTree
-                                   ? (r % 2) * cfg.leaf_width + r / 2
-                                   : r;
-    homes[r] = collective::RankHome{&cluster.node(node), &cluster.hca(node)};
-  }
-  collective::CollectiveGroup group(sim, std::move(homes), wl.coll);
-  group.start();
-
-  const double ideal_s =
-      ideal_seconds(wl.coll, cfg.fabric.link_bytes_per_sec) *
-      wl.coll.iterations;
-  // Generous cap: congested/faulted runs take a few times ideal; a flapped
-  // ring additionally burns the full RC retry budget (~255 ms per death).
-  const auto cap = static_cast<sim::SimDuration>(ideal_s * 1e9 * 100) + 2'000_ms;
-  sim.run_until(cap);
-
-  const auto& res = group.result();
-  const bool finished = group.done();
+  const RingOutcome out = run_ring_trial(topo, mode, coll, faults, seed);
+  const auto& res = out.result;
   const double t_s =
-      finished && res.finished_at > res.started_at
+      out.finished && res.finished_at > res.started_at
           ? static_cast<double>(res.finished_at - res.started_at) / 1e9
           : 0.0;
   const double s_bytes =
-      static_cast<double>(wl.coll.payload_bytes) * wl.coll.iterations;
-  const double n = wl.coll.ranks;
+      static_cast<double>(coll.payload_bytes) * coll.iterations;
+  const double n = coll.ranks;
   const double algbw = t_s > 0 ? s_bytes / t_s / 1e9 : 0.0;
   const double busbw = t_s > 0 ? s_bytes * (n - 1.0) / n / t_s / 1e9 : 0.0;
-  const double vs_closed = t_s > 0 ? ideal_s / t_s : 0.0;
-  auto& m = sim.metrics();
-  return {finished && res.ok ? 1.0 : 0.0,
+  const double vs_closed = t_s > 0 ? out.ideal_s / t_s : 0.0;
+  return {out.finished && res.ok ? 1.0 : 0.0,
           t_s * 1e3,
           algbw,
           busbw,
           vs_closed,
-          static_cast<double>(m.counter("fabric.retransmits").value()),
-          static_cast<double>(m.counter("fabric.buf_drops").value()),
-          static_cast<double>(m.counter("fabric.ecn_marks").value()),
-          static_cast<double>(m.counter("fabric.pfc_pauses").value())};
+          out.retx,
+          out.drops,
+          out.marks,
+          out.pauses};
 }
 
 }  // namespace
@@ -170,22 +77,9 @@ std::vector<double> run_allreduce(cluster::TopologyKind topo,
 int main(int argc, char** argv) {
   using namespace resex::bench;
 
-  const auto opts = parse_cli(argc, argv);
-
-  const std::uint32_t buf = opts.buf_pkts > 0 ? opts.buf_pkts : 64;
-  const std::uint32_t kmin = opts.ecn_kmax > 0 ? opts.ecn_kmin : buf / 4;
-  const std::uint32_t kmax = opts.ecn_kmax > 0 ? opts.ecn_kmax : (buf * 3) / 4;
-  const std::vector<Mode> modes = {
-      {.name = "lossless"},
-      {.name = "taildrop", .buf_pkts = buf},
-      {.name = "ecn+dcqcn",
-       .buf_pkts = buf,
-       .ecn_kmin = kmin,
-       .ecn_kmax = kmax,
-       .rate_control = true},
-      {.name = "pfc", .buf_pkts = buf, .pfc = true},
-      {.name = "pfc+vlshift", .buf_pkts = buf, .pfc = true, .vl_shift = true},
-  };
+  const auto opts = parse_generic_cli(
+      argc, argv, kReadsBufPkts | kReadsEcn | kReadsFaults | kReadsColl);
+  const StandardModes m = standard_modes(opts);
 
   collective::CollectiveConfig base;
   base.payload_bytes = opts.coll_bytes > 0 ? opts.coll_bytes : 4u << 20;
@@ -205,19 +99,18 @@ int main(int argc, char** argv) {
     const std::string tname =
         topo == resex::cluster::TopologyKind::kStar ? "star" : "fattree";
     for (const std::uint32_t ranks : rank_counts) {
-      for (const Mode& mode : modes) {
-        Workload wl;
-        wl.coll = base;
-        wl.coll.ranks = ranks;
-        wl.faults = opts.faults;
+      for (const FabricMode& mode :
+           {m.lossless, m.taildrop, m.ecn, m.pfc, m.pfc_vlshift}) {
+        collective::CollectiveConfig coll = base;
+        coll.ranks = ranks;
         resex::runner::GenericPoint p;
         p.label = tname + " " + mode.name + " N=" + std::to_string(ranks);
         p.params = {{"topology", tname},
                     {"mode", mode.name},
                     {"ranks", std::to_string(ranks)},
-                    {"algo", to_string(wl.coll.algorithm)}};
-        p.run = [topo, mode, wl](std::uint64_t seed) {
-          return run_allreduce(topo, mode, wl, seed);
+                    {"algo", to_string(coll.algorithm)}};
+        p.run = [topo, mode, coll, faults = opts.faults](std::uint64_t seed) {
+          return run_allreduce(topo, mode, coll, faults, seed);
         };
         points.push_back(std::move(p));
       }
@@ -230,9 +123,7 @@ int main(int argc, char** argv) {
           std::to_string(base.payload_bytes >> 20) +
           "MiB in " + std::to_string(base.chunk_bytes >> 10) +
           "KiB chunks; the fat-tree stripes ring neighbours across two "
-          "leaves\nover a 1x spine trunk (buf=" + std::to_string(buf) +
-          " pkts, Kmin=" + std::to_string(kmin) +
-          ", Kmax=" + std::to_string(kmax) + ").",
+          "leaves\nover a 1x spine trunk (" + m.describe() + ").",
       std::move(points),
       {"ok", "time_ms", "algbw_GBps", "busbw_GBps", "vs_closed", "retx",
        "drops", "marks", "pauses"});

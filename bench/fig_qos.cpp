@@ -37,13 +37,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "cluster/topology.hpp"
-#include "collective/collective.hpp"
-#include "fabric/verbs.hpp"
-#include "hv/node.hpp"
-#include "qos/config.hpp"
-#include "sim/rng.hpp"
-#include "sim/stats.hpp"
 
 namespace {
 
@@ -51,139 +44,51 @@ using namespace resex;
 using namespace resex::bench;
 using namespace resex::sim::literals;
 
-constexpr std::uint32_t kWriteBytes = 64 * 1024;
-constexpr sim::SimDuration kWarmup = 100_ms;
-constexpr sim::SimDuration kMeasure = 300_ms;
-constexpr sim::SimDuration kDrain = 50_ms;
-
-/// Two-class fabric: SL0 (latency) -> VL0 on the high-priority arbitration
-/// table, SL1 (bulk) -> VL1 — the QosConfig defaults.
-void apply_two_class(fabric::FabricConfig& cfg) {
-  qos::QosConfig q;
-  q.enabled = true;
-  q.apply(cfg);
+/// {reqs, p50_us, p99_us, drops, pauses, bulk_MBps, victim_MBps}: the
+/// victim's (flow 0's) per-write latencies and goodput at node `victim_dst`,
+/// the bulk goodput over the `bulk` nodes' downlinks.
+std::vector<double> columns(cluster::Cluster& cl, const FlowResult& r,
+                            std::uint32_t victim_dst,
+                            const std::vector<std::uint32_t>& bulk) {
+  std::uint64_t bulk_bytes = 0;
+  for (const std::uint32_t n : bulk) bulk_bytes += r.window_bytes[n];
+  auto& metrics = cl.sim().metrics();
+  return {static_cast<double>(r.latency_us[0].count()),
+          r.latency_us[0].median(),
+          r.latency_us[0].percentile(99.0),
+          static_cast<double>(metrics.counter("fabric.buf_drops").value()),
+          static_cast<double>(metrics.counter("fabric.pfc_pauses").value()),
+          bulk.empty() ? 0.0 : r.mbps(bulk_bytes),
+          r.mbps(r.window_bytes[victim_dst])};
 }
 
-/// Part 1: the fig_pfc fat-tree victim rerun. Aggressors n1..n3 (leaf 0)
-/// incast into n4 (leaf 1) on the bulk SL; the victim writes n0 -> n5 on
-/// the latency SL. Returns {reqs, p50_us, p99_us, drops, pauses, bulk_MBps,
-/// victim_MBps} where reqs/p50/p99 are the *victim's* per-write latencies
-/// and bulk_MBps is the incast receiver's goodput.
+/// Part 1: the fig_pfc fat-tree victim rerun under PFC. Aggressors n1..n3
+/// (leaf 0) incast into n4 (leaf 1) on the bulk SL (inert while qos is off:
+/// SL1 still maps to the single legacy queue); the victim writes n0 -> n5 on
+/// the latency SL. bulk_MBps is the incast receiver's goodput.
 std::vector<double> run_victim(bool aggressors_on, bool qos_on,
                                std::uint32_t buf, std::uint64_t seed) {
-  cluster::ClusterConfig ccfg;
-  ccfg.nodes = 8;
-  ccfg.topology = cluster::TopologyKind::kFatTree;
-  ccfg.leaf_width = 4;
-  ccfg.spines = 1;
-  // Fat trunks, as in fig_pfc: only PFC backpressure ever fills them.
-  ccfg.trunk_bandwidth_scale = 8.0;
-  ccfg.fabric.port_buffer_pkts = buf;
-  ccfg.fabric.pfc_enabled = true;
-  if (qos_on) apply_two_class(ccfg.fabric);
-  cluster::Cluster cl(ccfg);
-  sim::Simulation& sim = cl.sim();
-
-  constexpr std::uint32_t kAggressors = 3;  // n1..n3 -> n4
-  Endpoint incast_recv = make_endpoint(cl.node(4), cl.hca(4), "incast_recv",
-                                       std::uint64_t{kAggressors} * kWriteBytes);
-  Endpoint victim_recv =
-      make_endpoint(cl.node(5), cl.hca(5), "victim_recv", kWriteBytes);
-  Endpoint victim =
-      make_endpoint(cl.node(0), cl.hca(0), "victim_send", kWriteBytes);
-  victim.qp->set_service_level(qos::kLatencySl);
-  fabric::QueuePair& victim_rqp = cl.hca(5).create_qp(
-      *victim_recv.domain, victim_recv.pd, *victim_recv.send_cq,
-      *victim_recv.recv_cq);
-  fabric::Fabric::connect(*victim.qp, victim_rqp);
-
-  std::vector<Endpoint> aggressors;
-  std::vector<fabric::QueuePair*> recv_qps;
-  for (std::uint32_t i = 0; aggressors_on && i < kAggressors; ++i) {
-    aggressors.push_back(make_endpoint(cl.node(i + 1), cl.hca(i + 1),
-                                       "agg" + std::to_string(i),
-                                       kWriteBytes));
-    // Bulk class on both ends (inert while qos is off: SL1 still maps to
-    // the single legacy queue).
-    aggressors.back().qp->set_service_level(qos::kBulkSl);
-    recv_qps.push_back(&cl.hca(4).create_qp(*incast_recv.domain,
-                                            incast_recv.pd,
-                                            *incast_recv.send_cq,
-                                            *incast_recv.recv_cq));
-    recv_qps.back()->set_service_level(qos::kBulkSl);
-    fabric::Fabric::connect(*aggressors.back().qp, *recv_qps.back());
-  }
-
-  const sim::SimTime end = kWarmup + kMeasure;
-  std::vector<std::unique_ptr<sim::Samples>> agg_latencies;
-  sim::Rng jitter(sim::derive(seed, 0x9fc));
-  for (std::uint32_t i = 0; i < static_cast<std::uint32_t>(aggressors.size());
-       ++i) {
-    agg_latencies.push_back(std::make_unique<sim::Samples>());
-    const auto start = static_cast<sim::SimDuration>(
-        jitter.uniform(0.0, static_cast<double>(10_us)));
-    sim.spawn(sender_loop(sim, aggressors[i],
-                          incast_recv.buf + std::uint64_t{i} * kWriteBytes,
-                          incast_recv.mr.rkey, kWriteBytes, start, kWarmup,
-                          end, *agg_latencies[i]));
-  }
-  sim::Samples victim_latency;
-  sim.spawn(sender_loop(sim, victim, victim_recv.buf, victim_recv.mr.rkey,
-                        kWriteBytes,
-                        static_cast<sim::SimDuration>(
-                            jitter.uniform(0.0, static_cast<double>(10_us))),
-                        kWarmup, end, victim_latency));
-
-  std::uint64_t incast_at_warmup = 0;
-  std::uint64_t victim_at_warmup = 0;
-  sim.spawn([](sim::Simulation& s, cluster::Cluster& c, std::uint64_t& a,
-               std::uint64_t& b) -> sim::Task {
-    co_await s.delay(kWarmup);
-    a = c.hca(4).downlink().bytes_sent();
-    b = c.hca(5).downlink().bytes_sent();
-  }(sim, cl, incast_at_warmup, victim_at_warmup));
-
-  sim.run_until(end + kDrain);
-
-  const double window_s = sim::to_sec(kMeasure + kDrain);
-  const double bulk_mbps =
-      static_cast<double>(cl.hca(4).downlink().bytes_sent() -
-                          incast_at_warmup) /
-      window_s / 1e6;
-  const double victim_mbps =
-      static_cast<double>(cl.hca(5).downlink().bytes_sent() -
-                          victim_at_warmup) /
-      window_s / 1e6;
-  return {static_cast<double>(victim_latency.count()),
-          victim_latency.median(),
-          victim_latency.percentile(99.0),
-          static_cast<double>(
-              sim.metrics().counter("fabric.buf_drops").value()),
-          static_cast<double>(
-              sim.metrics().counter("fabric.pfc_pauses").value()),
-          bulk_mbps,
-          victim_mbps};
+  ModeCluster mc(hol_fat_tree(),
+                 {.buf_pkts = buf, .pfc = true, .qos = qos_on});
+  const FlowResult r = run_flows(
+      mc.cluster, hol_workload(aggressors_on ? 3 : 0, qos::kBulkSl), seed);
+  return columns(mc.cluster, r, 5, {4});
 }
 
 /// Part 2: continuous 4-rank ring all-reduce striped across a 1x spine
 /// trunk (ranks on n0,n4,n1,n5 — every ring edge crosses the trunk) as the
 /// bulk class, with a latency victim n2 -> n6 sharing that trunk. The
 /// fabric is lossless without PFC (a PFC'd ring deadlocks on its cyclic
-/// route), so trunk queueing alone separates the classes. Same column
-/// vector as run_victim; bulk_MBps sums the rank hosts' downlink goodput
-/// (= the collective's delivered bandwidth).
+/// route), so trunk queueing alone separates the classes. bulk_MBps sums
+/// the rank hosts' downlink goodput (= the collective's delivered
+/// bandwidth).
 std::vector<double> run_allreduce_victim(bool coll_on, bool qos_on,
                                          std::uint64_t seed) {
-  cluster::ClusterConfig ccfg;
-  ccfg.nodes = 8;
+  cluster::ClusterConfig ccfg = hol_fat_tree();
   ccfg.pcpus_per_node = 2;
-  ccfg.topology = cluster::TopologyKind::kFatTree;
-  ccfg.leaf_width = 4;
-  ccfg.spines = 1;
   ccfg.trunk_bandwidth_scale = 1.0;  // the trunk IS the contended resource
-  if (qos_on) apply_two_class(ccfg.fabric);
-  cluster::Cluster cl(ccfg);
-  sim::Simulation& sim = cl.sim();
+  ModeCluster mc(ccfg, {.qos = qos_on});
+  cluster::Cluster& cl = mc.cluster;
 
   // Ranks striped across the leaves; the collective marks its own QPs
   // bulk (SL1) — nothing to configure here, that is the default contract.
@@ -204,63 +109,18 @@ std::vector<double> run_allreduce_victim(bool coll_on, bool qos_on,
       homes.push_back(collective::RankHome{&cl.node(n), &cl.hca(n)});
     }
     group = std::make_unique<collective::CollectiveGroup>(
-        sim, std::move(homes), coll);
+        cl.sim(), std::move(homes), coll);
     group->start();
   }
 
-  Endpoint victim_recv =
-      make_endpoint(cl.node(6), cl.hca(6), "victim_recv", kWriteBytes);
-  Endpoint victim =
-      make_endpoint(cl.node(2), cl.hca(2), "victim_send", kWriteBytes);
-  victim.qp->set_service_level(qos::kLatencySl);
-  fabric::QueuePair& victim_rqp = cl.hca(6).create_qp(
-      *victim_recv.domain, victim_recv.pd, *victim_recv.send_cq,
-      *victim_recv.recv_cq);
-  fabric::Fabric::connect(*victim.qp, victim_rqp);
-
-  const sim::SimTime end = kWarmup + kMeasure;
-  sim::Samples victim_latency;
-  sim::Rng jitter(sim::derive(seed, 0x9fc));
-  sim.spawn(sender_loop(sim, victim, victim_recv.buf, victim_recv.mr.rkey,
-                        kWriteBytes,
-                        static_cast<sim::SimDuration>(
-                            jitter.uniform(0.0, static_cast<double>(10_us))),
-                        kWarmup, end, victim_latency));
-
-  std::uint64_t coll_at_warmup = 0;
-  std::uint64_t victim_at_warmup = 0;
-  sim.spawn([](sim::Simulation& s, cluster::Cluster& c,
-               const std::vector<std::uint32_t>& ranks, std::uint64_t& a,
-               std::uint64_t& b) -> sim::Task {
-    co_await s.delay(kWarmup);
-    for (const std::uint32_t n : ranks) a += c.hca(n).downlink().bytes_sent();
-    b = c.hca(6).downlink().bytes_sent();
-  }(sim, cl, rank_nodes, coll_at_warmup, victim_at_warmup));
-
-  sim.run_until(end + kDrain);
-
-  std::uint64_t coll_bytes = 0;
-  for (const std::uint32_t n : rank_nodes) {
-    coll_bytes += cl.hca(n).downlink().bytes_sent();
-  }
-  const double window_s = sim::to_sec(kMeasure + kDrain);
-  const double bulk_mbps =
-      coll_on ? static_cast<double>(coll_bytes - coll_at_warmup) /
-                    window_s / 1e6
-              : 0.0;
-  const double victim_mbps =
-      static_cast<double>(cl.hca(6).downlink().bytes_sent() -
-                          victim_at_warmup) /
-      window_s / 1e6;
-  return {static_cast<double>(victim_latency.count()),
-          victim_latency.median(),
-          victim_latency.percentile(99.0),
-          static_cast<double>(
-              sim.metrics().counter("fabric.buf_drops").value()),
-          static_cast<double>(
-              sim.metrics().counter("fabric.pfc_pauses").value()),
-          bulk_mbps,
-          victim_mbps};
+  const FlowResult r = run_flows(cl,
+                                 {.flows = {{2, 6}},
+                                  .jitter_tag = 0x9fc,
+                                  .measure = 300_ms,
+                                  .drain = 50_ms},
+                                 seed);
+  return columns(cl, r, 6,
+                 coll_on ? rank_nodes : std::vector<std::uint32_t>{});
 }
 
 /// The class-isolation conclusions drawn from the table.
@@ -304,8 +164,8 @@ void print_isolation_summary(
 int main(int argc, char** argv) {
   using namespace resex::bench;
 
-  const auto opts = parse_cli(argc, argv);
-  const std::uint32_t buf = opts.buf_pkts > 0 ? opts.buf_pkts : 64;
+  const auto opts = parse_generic_cli(argc, argv, kReadsBufPkts);
+  const std::uint32_t buf = standard_modes(opts).buf;
 
   struct Row {
     std::string label;

@@ -29,19 +29,10 @@
 // Per-trial results are byte-identical for any --jobs value.
 
 #include <algorithm>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "cluster/topology.hpp"
-#include "collective/collective.hpp"
-#include "fabric/verbs.hpp"
-#include "hv/node.hpp"
-#include "qos/config.hpp"
-#include "routing/config.hpp"
-#include "sim/rng.hpp"
-#include "sim/stats.hpp"
 
 namespace {
 
@@ -49,17 +40,8 @@ using namespace resex;
 using namespace resex::bench;
 using namespace resex::sim::literals;
 
-constexpr std::uint32_t kWriteBytes = 64 * 1024;
-constexpr sim::SimDuration kWarmup = 100_ms;
 constexpr sim::SimDuration kMeasure = 400_ms;
 constexpr std::uint32_t kSpines = 4;
-
-/// One directed cross-leaf flow: sender endpoint + the receive-side QP and
-/// buffer slot it writes into.
-struct Flow {
-  std::uint32_t src = 0;
-  std::uint32_t dst = 0;
-};
 
 std::vector<double> run_spread(bool alltoall, routing::RouteMode mode,
                                std::uint64_t ecmp_seed, std::uint64_t seed) {
@@ -77,81 +59,31 @@ std::vector<double> run_spread(bool alltoall, routing::RouteMode mode,
   cfg.fabric.routing.mode = mode;
   cfg.fabric.routing.ecmp_seed = ecmp_seed;
   cluster::Cluster cluster(cfg);
-  auto& sim = cluster.sim();
 
-  std::vector<Flow> flows;
+  FlowWorkload wl{.jitter_tag = 0x707e, .measure = kMeasure};
   if (alltoall) {
     for (std::uint32_t i = 0; i < 4; ++i) {
       for (std::uint32_t j = 4; j < 8; ++j) {
-        flows.push_back({i, j});
-        flows.push_back({j, i});
+        wl.flows.push_back({i, j});
+        wl.flows.push_back({j, i});
       }
     }
   } else {
-    for (std::uint32_t i = 0; i < 8; ++i) flows.push_back({i, 8});
+    for (std::uint32_t i = 0; i < 8; ++i) wl.flows.push_back({i, 8});
   }
-
-  // Receive regions: one 64KB slot per incoming flow, per node.
-  std::vector<std::uint32_t> fan_in(cfg.nodes, 0);
-  for (const Flow& f : flows) ++fan_in[f.dst];
-  std::vector<std::unique_ptr<Endpoint>> recv_eps(cfg.nodes);
-  for (std::uint32_t n = 0; n < cfg.nodes; ++n) {
-    if (fan_in[n] == 0) continue;
-    recv_eps[n] = std::make_unique<Endpoint>(make_endpoint(
-        cluster.node(n), cluster.hca(n), "recv_vm" + std::to_string(n),
-        std::uint64_t{fan_in[n]} * kWriteBytes));
-  }
-
-  std::vector<std::unique_ptr<Endpoint>> send_eps;
-  std::vector<mem::GuestAddr> remote_addr(flows.size());
-  std::vector<std::uint32_t> remote_rkey(flows.size());
-  std::vector<std::uint32_t> next_slot(cfg.nodes, 0);
-  for (std::size_t f = 0; f < flows.size(); ++f) {
-    const Flow& fl = flows[f];
-    send_eps.push_back(std::make_unique<Endpoint>(
-        make_endpoint(cluster.node(fl.src), cluster.hca(fl.src),
-                      "send_vm" + std::to_string(f), kWriteBytes)));
-    Endpoint& recv = *recv_eps[fl.dst];
-    fabric::QueuePair& rqp = cluster.hca(fl.dst).create_qp(
-        *recv.domain, recv.pd, *recv.send_cq, *recv.recv_cq);
-    fabric::Fabric::connect(*send_eps.back()->qp, rqp);
-    remote_addr[f] =
-        recv.buf + std::uint64_t{next_slot[fl.dst]++} * kWriteBytes;
-    remote_rkey[f] = recv.mr.rkey;
-  }
-
-  const sim::SimTime end = kWarmup + kMeasure;
-  std::vector<std::unique_ptr<sim::Samples>> latencies;
-  sim::Rng jitter(sim::derive(seed, 0x707e));
-  for (std::size_t f = 0; f < flows.size(); ++f) {
-    latencies.push_back(std::make_unique<sim::Samples>());
-    const auto start = static_cast<sim::SimDuration>(
-        jitter.uniform(0.0, static_cast<double>(10_us)));
-    sim.spawn(sender_loop(sim, *send_eps[f], remote_addr[f], remote_rkey[f],
-                          kWriteBytes, start, kWarmup, end, *latencies[f]));
-  }
-
   // Per-trunk busy-time snapshot at the end of warmup: utilization is
   // measured over the steady window only.
   std::vector<sim::SimDuration> busy_at_warmup;
   std::vector<std::uint64_t> bytes_at_warmup;
-  sim.spawn([](sim::Simulation& s, fabric::Fabric& fabric,
-               std::vector<sim::SimDuration>& busy,
-               std::vector<std::uint64_t>& bytes) -> sim::Task {
-    co_await s.delay(kWarmup);
-    fabric.for_each_trunk(
+  wl.at_warmup = [&] {
+    cluster.fabric().for_each_trunk(
         [&](std::uint32_t, std::uint32_t, fabric::Channel& ch) {
-          busy.push_back(ch.busy_time());
-          bytes.push_back(ch.bytes_sent());
+          busy_at_warmup.push_back(ch.busy_time());
+          bytes_at_warmup.push_back(ch.bytes_sent());
         });
-  }(sim, cluster.fabric(), busy_at_warmup, bytes_at_warmup));
+  };
+  const sim::Samples pooled = run_flows(cluster, wl, seed).pooled();
 
-  sim.run_until(end);
-
-  sim::Samples pooled;
-  for (const auto& s : latencies) {
-    for (const double v : s->values()) pooled.add(v);
-  }
   double max_util = 0.0;
   std::uint32_t trunks_used = 0;
   std::size_t idx = 0;
@@ -170,57 +102,28 @@ std::vector<double> run_spread(bool alltoall, routing::RouteMode mode,
           max_util,
           static_cast<double>(trunks_used),
           static_cast<double>(
-              sim.metrics().counter("fabric.route_rehash").value())};
+              cluster.sim().metrics().counter("fabric.route_rehash").value())};
 }
 
 /// The striped-ring PFC all-reduce (bench_fig_allreduce's deadlock case),
 /// with and without routing lane shifts.
-std::vector<double> run_ring(bool vl_shift, std::uint64_t /*seed*/) {
-  constexpr std::uint32_t kRanks = 8;
-  cluster::ClusterConfig cfg;
-  cfg.nodes = kRanks;
-  cfg.pcpus_per_node = 2;
-  cfg.topology = cluster::TopologyKind::kFatTree;
-  cfg.leaf_width = (kRanks + 1) / 2;
-  cfg.spines = 1;
-  cfg.trunk_bandwidth_scale = 1.0;
-  cfg.fabric.port_buffer_pkts = 64;
-  cfg.fabric.pfc_enabled = true;
-  if (vl_shift) {
-    qos::QosConfig qcfg;
-    qcfg.enabled = true;
-    qcfg.apply(cfg.fabric);
-    routing::RoutingConfig{.vl_shift = true}.apply(cfg.fabric);
-  }
-  cluster::Cluster cluster(cfg);
-  auto& sim = cluster.sim();
-
+std::vector<double> run_ring(bool vl_shift, std::uint64_t seed) {
   collective::CollectiveConfig coll;
-  coll.ranks = kRanks;
+  coll.ranks = 8;
   coll.payload_bytes = 4u << 20;
   coll.chunk_bytes = 256 * 1024;
   coll.algorithm = collective::Algorithm::kRingAllReduce;
-
-  // Stripe ranks across the two leaves so every ring edge crosses the trunk.
-  std::vector<collective::RankHome> homes(kRanks);
-  for (std::uint32_t r = 0; r < kRanks; ++r) {
-    const std::uint32_t node = (r % 2) * cfg.leaf_width + r / 2;
-    homes[r] = collective::RankHome{&cluster.node(node), &cluster.hca(node)};
-  }
-  collective::CollectiveGroup group(sim, std::move(homes), coll);
-  group.start();
-  sim.run_until(3'000_ms);
-
-  const auto& res = group.result();
-  const bool ok = group.done() && res.ok;
+  const RingOutcome out = run_ring_trial(
+      cluster::TopologyKind::kFatTree,
+      {.buf_pkts = 64, .pfc = true, .vl_shift = vl_shift}, coll, "", seed,
+      3'000_ms);
+  const bool ok = out.finished && out.result.ok;
   const double t_ms =
-      ok ? static_cast<double>(res.finished_at - res.started_at) / 1e6 : 0.0;
-  auto& m = sim.metrics();
-  return {ok ? 1.0 : 0.0,
-          t_ms,
-          static_cast<double>(m.counter("fabric.buf_drops").value()),
-          static_cast<double>(m.counter("fabric.pfc_pauses").value()),
-          static_cast<double>(m.counter("fabric.retransmits").value())};
+      ok ? static_cast<double>(out.result.finished_at -
+                               out.result.started_at) /
+               1e6
+         : 0.0;
+  return {ok ? 1.0 : 0.0, t_ms, out.drops, out.pauses, out.retx};
 }
 
 }  // namespace
@@ -228,7 +131,7 @@ std::vector<double> run_ring(bool vl_shift, std::uint64_t /*seed*/) {
 int main(int argc, char** argv) {
   using namespace resex::bench;
 
-  const auto opts = parse_cli(argc, argv);
+  const auto opts = parse_generic_cli(argc, argv, kReadsEcmpSeed);
   const std::uint64_t ecmp_seed = opts.routing.ecmp_seed;
 
   struct ModeRow {
@@ -284,17 +187,8 @@ int main(int argc, char** argv) {
     p.run = [shift](std::uint64_t seed) { return run_ring(shift, seed); };
     ring_points.push_back(std::move(p));
   }
-  auto ring_opts = opts;
-  const auto infix = [](std::string path) {
-    if (path.empty()) return path;
-    const auto dot = path.rfind('.');
-    return dot == std::string::npos ? path + ".ring"
-                                    : path.insert(dot, ".ring");
-  };
-  ring_opts.json_path = infix(ring_opts.json_path);
-  ring_opts.csv_path = infix(ring_opts.csv_path);
   const int rc2 = run_generic_bench(
-      ring_opts, "Striped-ring PFC all-reduce: lane shifts break the deadlock",
+      with_export_infix(opts, ".ring"), "Striped-ring PFC all-reduce: lane shifts break the deadlock",
       "8 ranks striped across two leaves over a single 1x trunk, PFC on,\n"
       "4MiB ring all-reduce (every step overflows the trunk buffers).",
       std::move(ring_points), {"ok", "time_ms", "drops", "pauses", "retx"});
