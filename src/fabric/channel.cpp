@@ -517,16 +517,21 @@ void Channel::launch(Flow& f, std::size_t pos) {
                           static_cast<double>(backlog_packets()));
   }
   const bool deliver = fate != PacketFate::kDrop;
-  sim_.schedule_in(tx, [this, deliver, pkt = std::move(pkt)]() mutable {
+  // Both events of a traversal must stay within the kernel's inline
+  // callback buffer: they are the bulk of all events.
+  auto serialized = [this, deliver, pkt = std::move(pkt)]() mutable {
     busy_ = false;
     if (deliver) {
-      sim_.schedule_in(config_.propagation_delay,
-                       [sink = sink_, pkt = std::move(pkt)]() mutable {
-                         sink(std::move(pkt));
-                       });
+      auto delivered = [this, pkt = std::move(pkt)]() mutable {
+        sink_(std::move(pkt));
+      };
+      static_assert(sim::Callback::fits_inline<decltype(delivered)>);
+      sim_.schedule_in(config_.propagation_delay, std::move(delivered));
     }
     try_start();
-  });
+  };
+  static_assert(sim::Callback::fits_inline<decltype(serialized)>);
+  sim_.schedule_in(tx, std::move(serialized));
 }
 
 void Channel::try_start() {

@@ -1,6 +1,6 @@
 #include "sim/simulation.hpp"
 
-#include <cassert>
+#include <limits>
 
 namespace resex::sim {
 
@@ -11,11 +11,8 @@ Simulation::~Simulation() {
   }
 }
 
-EventHandle Simulation::schedule_at(SimTime t, std::function<void()> fn) {
-  if (t < now_) {
-    throw std::logic_error("Simulation::schedule_at: time is in the past");
-  }
-  return queue_.push(t, std::move(fn));
+void Simulation::throw_past() {
+  throw std::logic_error("Simulation::schedule_at: time is in the past");
 }
 
 void Simulation::spawn(Task task) {
@@ -46,15 +43,15 @@ void Simulation::rethrow_pending_error() {
   }
 }
 
-bool Simulation::step() {
-  if (queue_.empty()) return false;
-  auto ev = queue_.pop();
-  assert(ev->time >= now_);
-  now_ = ev->time;
-  ev->fn();
+bool Simulation::step_until(SimTime limit) {
+  if (!queue_.fire_next(limit, now_)) return false;
   ++events_processed_;
   rethrow_pending_error();
   return true;
+}
+
+bool Simulation::step() {
+  return step_until(std::numeric_limits<SimTime>::max());
 }
 
 void Simulation::run() {
@@ -63,8 +60,7 @@ void Simulation::run() {
 }
 
 void Simulation::run_until(SimTime t) {
-  while (!queue_.empty() && queue_.next_time() <= t) {
-    step();
+  while (step_until(t)) {
   }
   if (t > now_) now_ = t;
 }

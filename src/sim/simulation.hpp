@@ -9,7 +9,6 @@
 #include <coroutine>
 #include <cstdint>
 #include <exception>
-#include <functional>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -33,12 +32,18 @@ class Simulation {
   /// Current simulated time.
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
-  /// Schedule a callback at absolute time `t` (must be >= now()).
-  EventHandle schedule_at(SimTime t, std::function<void()> fn);
+  /// Schedule a callback at absolute time `t` (must be >= now()). Any
+  /// move-constructible `void()` callable is accepted (see sim::Callback).
+  template <class F>
+  EventHandle schedule_at(SimTime t, F&& fn) {
+    if (t < now_) throw_past();
+    return queue_.push(t, std::forward<F>(fn));
+  }
 
   /// Schedule a callback `dt` from now.
-  EventHandle schedule_in(SimDuration dt, std::function<void()> fn) {
-    return schedule_at(now_ + dt, std::move(fn));
+  template <class F>
+  EventHandle schedule_in(SimDuration dt, F&& fn) {
+    return schedule_at(now_ + dt, std::forward<F>(fn));
   }
 
   /// Detach a Task onto this simulation; it starts running at the current
@@ -106,7 +111,10 @@ class Simulation {
   friend void detail::notify_detached_done(const detail::DetachedHooks&,
                                            std::exception_ptr) noexcept;
 
+  [[noreturn]] static void throw_past();
   void rethrow_pending_error();
+  /// Fire the next event if it is due by `limit`; false if none is.
+  bool step_until(SimTime limit);
 
   SimTime now_ = 0;  // must precede tracer_, which captures &now_
   EventQueue queue_;
