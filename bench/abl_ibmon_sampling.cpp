@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   using namespace resex;
   using namespace resex::bench;
 
-  const auto opts = parse_generic_cli(argc, argv, kReadsNone);
+  const auto opts = parse_generic_cli(argc, argv, kReadsRunner);
 
   std::vector<runner::GenericPoint> points;
   for (const std::uint64_t period_us :

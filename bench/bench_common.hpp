@@ -81,15 +81,17 @@ inline runner::RunnerOptions parse_cli(int argc, char** argv) {
   return opts;
 }
 
-/// The scenario flags a generic bench reads, on top of the runner's own
-/// --jobs, --seeds, --seed, --json and --csv.
+/// The flags a bench parsed by parse_generic_cli reads, on top of --jobs.
 enum Reads : unsigned {
   kReadsNone = 0,
   kReadsBufPkts = 1u << 0,   // --buf-pkts
   kReadsEcn = 1u << 1,       // --ecn-kmin/--ecn-kmax
   kReadsFaults = 1u << 2,    // --faults
   kReadsColl = 1u << 3,      // --coll-*
-  kReadsEcmpSeed = 1u << 4,  // --ecmp-seed, with the --routing it requires
+  kReadsEcmpSeed = 1u << 4,  // --ecmp-seed
+  // --seeds, --seed, --json and --csv: every generic bench; the timeline
+  // benches (fig1, fig3, fig5-fig8) run fixed scenarios and only print.
+  kReadsRunner = 1u << 5,
 };
 
 /// The first flag set in `opts` that a bench reading only `reads` would
@@ -98,7 +100,12 @@ inline const char* unread_flag(const runner::RunnerOptions& opts,
                                unsigned reads) {
   const bool ecmp_seed = (reads & kReadsEcmpSeed) != 0;
   const bool coll = (reads & kReadsColl) != 0;
+  const bool runner = (reads & kReadsRunner) != 0;
   const std::pair<bool, const char*> flags[] = {
+      {opts.seeds != 1 && !runner, "--seeds"},
+      {opts.seed.has_value() && !runner, "--seed"},
+      {!opts.json_path.empty() && !runner, "--json"},
+      {!opts.csv_path.empty() && !runner, "--csv"},
       {!opts.trace_path.empty(), "--trace"},
       {!opts.metrics_path.empty(), "--metrics-json"},
       {opts.metrics_period_ms > 0.0, "--metrics-period"},
@@ -109,9 +116,7 @@ inline const char* unread_flag(const runner::RunnerOptions& opts,
       {opts.pool_alpha > 0.0, "--pool-alpha"},
       {opts.pfc, "--pfc"},
       {opts.qos_set(), "--qos"},
-      {opts.routing.multipath() &&
-           !(ecmp_seed && opts.ecmp_seed_set),
-       "--routing"},
+      {opts.routing.multipath(), "--routing"},
       {opts.ecmp_seed_set && !ecmp_seed, "--ecmp-seed"},
       {opts.routing.vl_shift, "--vl-shift"},
       {opts.coll_ranks > 0 && !coll, "--coll-ranks"},
@@ -126,9 +131,9 @@ inline const char* unread_flag(const runner::RunnerOptions& opts,
   return nullptr;
 }
 
-/// parse_cli for generic benches: a scenario flag the bench does not read is
-/// reported like a bad flag, before any trial runs: one line on stderr,
-/// exit 2.
+/// parse_cli for the generic and timeline benches: a flag the bench does
+/// not read is reported like a bad flag, before any trial runs: one line on
+/// stderr, exit 2. --jobs is always taken (it changes only wall time).
 inline runner::RunnerOptions parse_generic_cli(int argc, char** argv,
                                                unsigned reads) {
   auto opts = parse_cli(argc, argv);

@@ -9,9 +9,10 @@
 #include "bench_common.hpp"
 #include "sim/stats.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace resex;
   using namespace resex::bench;
+  (void)parse_generic_cli(argc, argv, kReadsNone);
 
   print_scenario_header(
       "Figure 1: Distribution of request latencies, normal vs interfered",

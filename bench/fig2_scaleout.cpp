@@ -77,6 +77,23 @@ int main(int argc, char** argv) {
     }
   }
 
+  const auto t0 = std::chrono::steady_clock::now();
+  std::vector<runner::Outcome<cluster::ClusterScenarioConfig,
+                              cluster::ClusterScenarioResult>>
+      cluster_outcomes;
+  try {
+    cluster_outcomes = runner::run_sweep(std::move(points), opts,
+                                         cluster::run_cluster_scenario);
+  } catch (const std::invalid_argument& e) {
+    // A flag combination the overrides refuse (--ecmp-seed with static
+    // routing), before any trial ran.
+    std::cerr << argv[0] << ": " << e.what() << "\n";
+    return 2;
+  }
+  const double wall_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+
   print_scenario_header(
       "Figure 2 scale-out: SLA violations vs cluster size",
       "N/4 reporting 64KB services co-located with N/4 2MB interferers, N/4 "
@@ -84,12 +101,6 @@ int main(int argc, char** argv) {
       "(live migration over the shared fabric). SLA: calibrated solo mean "
       "+15%, evaluated per client sample, coordinated-omission-free.");
 
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto cluster_outcomes = runner::run_sweep(
-      std::move(points), opts, cluster::run_cluster_scenario);
-  const double wall_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() - t0)
-                             .count();
 
   // Flatten to the generic sink: one row per point, metrics per replicate.
   std::vector<runner::GenericOutcome> outcomes;

@@ -8,9 +8,10 @@
 
 #include "bench_common.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace resex;
   using namespace resex::bench;
+  (void)parse_generic_cli(argc, argv, kReadsNone);
 
   print_scenario_header(
       "Figure 6: Resos balances and caps during FreeMarket",

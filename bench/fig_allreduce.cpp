@@ -78,7 +78,8 @@ int main(int argc, char** argv) {
   using namespace resex::bench;
 
   const auto opts = parse_generic_cli(
-      argc, argv, kReadsBufPkts | kReadsEcn | kReadsFaults | kReadsColl);
+      argc, argv,
+      kReadsRunner | kReadsBufPkts | kReadsEcn | kReadsFaults | kReadsColl);
   const StandardModes m = standard_modes(opts);
 
   collective::CollectiveConfig base;

@@ -53,7 +53,8 @@ std::vector<double> run_incast(std::uint32_t senders, const FabricMode& mode,
 int main(int argc, char** argv) {
   using namespace resex::bench;
 
-  const auto opts = parse_generic_cli(argc, argv, kReadsBufPkts | kReadsEcn);
+  const auto opts = parse_generic_cli(
+      argc, argv, kReadsRunner | kReadsBufPkts | kReadsEcn);
 
   // Headline comparison: same 64-packet port buffer for both lossy modes,
   // marking from 16 packets, hard-mark at 48. --buf-pkts/--ecn-kmin/

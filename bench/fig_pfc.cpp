@@ -110,7 +110,8 @@ void print_hol_summary(
 int main(int argc, char** argv) {
   using namespace resex::bench;
 
-  const auto opts = parse_generic_cli(argc, argv, kReadsBufPkts | kReadsEcn);
+  const auto opts = parse_generic_cli(
+      argc, argv, kReadsRunner | kReadsBufPkts | kReadsEcn);
   const StandardModes m = standard_modes(opts);
 
   std::vector<resex::runner::GenericPoint> points;

@@ -164,7 +164,8 @@ void print_isolation_summary(
 int main(int argc, char** argv) {
   using namespace resex::bench;
 
-  const auto opts = parse_generic_cli(argc, argv, kReadsBufPkts);
+  const auto opts =
+      parse_generic_cli(argc, argv, kReadsRunner | kReadsBufPkts);
   const std::uint32_t buf = standard_modes(opts).buf;
 
   struct Row {

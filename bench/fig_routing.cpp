@@ -131,7 +131,8 @@ std::vector<double> run_ring(bool vl_shift, std::uint64_t seed) {
 int main(int argc, char** argv) {
   using namespace resex::bench;
 
-  const auto opts = parse_generic_cli(argc, argv, kReadsEcmpSeed);
+  const auto opts =
+      parse_generic_cli(argc, argv, kReadsRunner | kReadsEcmpSeed);
   const std::uint64_t ecmp_seed = opts.routing.ecmp_seed;
 
   struct ModeRow {

@@ -4,8 +4,8 @@
 
 namespace resex::benchex {
 
-Client::Client(Endpoint endpoint, const BenchExConfig& config)
-    : ep_(std::move(endpoint)), config_(config),
+Client::Client(Endpoint endpoint, const BenchExConfig& config, Stamp stamp)
+    : ep_(std::move(endpoint)), config_(config), stamp_(stamp),
       arrivals_(config.arrivals, sim::Rng::stream(config.seed, 0xC11)),
       mix_rng_(sim::Rng::stream(config.seed, 0xC12)),
       mix_(trace::RequestMix::exchange_default()),
@@ -19,9 +19,18 @@ std::uint32_t Client::queue_depth_limit() const {
   return config_.mode == LoadMode::kClosedLoop ? 1 : config_.ring_slots;
 }
 
-sim::Task Client::send_one() {
+void Client::resume() {
+  if (!suspended_) return;
+  suspended_ = false;
+  credit_->fire();
+}
+
+sim::Task Client::wait_quiescent() {
+  while (outstanding_ > 0) co_await credit_->wait();
+}
+
+sim::Task Client::send_one(sim::SimTime stamp) {
   auto& verbs = *ep_.verbs;
-  auto& sim = verbs.vcpu().simulation();
 
   finance::RequestKind kind = config_.kind;
   std::uint32_t instruments = config_.instruments;
@@ -36,7 +45,7 @@ sim::Task Client::send_one() {
 
   RequestHeader req;
   req.seq = seq;
-  req.client_ts = sim.now();
+  req.client_ts = stamp;
   req.instruments = instruments;
   req.kind = static_cast<std::uint8_t>(kind);
   req.payload_len = config_.buffer_bytes;
@@ -69,14 +78,15 @@ sim::Task Client::run_sender() {
     for (;;) {
       next_at += arrivals_.next_gap();
       co_await sim.at(next_at);
-      while (outstanding_ >= depth) co_await credit_->wait();
-      co_await send_one();
+      while (suspended_ || outstanding_ >= depth) co_await credit_->wait();
+      co_await send_one(stamp_ == Stamp::kIntendedArrival ? next_at
+                                                          : sim.now());
     }
   } else {
     for (;;) {
-      while (outstanding_ >= depth) co_await credit_->wait();
+      while (suspended_ || outstanding_ >= depth) co_await credit_->wait();
       if (config_.think_time > 0) co_await sim.delay(config_.think_time);
-      co_await send_one();
+      co_await send_one(sim.now());
     }
   }
 }
@@ -85,25 +95,24 @@ sim::Task Client::run_receiver() {
   auto& verbs = *ep_.verbs;
   auto& sim = verbs.vcpu().simulation();
 
-  for (std::uint32_t i = 0; i < config_.ring_slots; ++i) {
-    co_await verbs.post_recv(*ep_.qp, fabric::RecvWr{.wr_id = i});
-  }
+  co_await post_ring_receives(ep_, config_.ring_slots);
 
   for (;;) {
     const fabric::Cqe cqe = co_await verbs.next_cqe(*ep_.recv_cq);
     co_await verbs.post_recv(*ep_.qp, fabric::RecvWr{.wr_id = cqe.wr_id});
+    // An errored response (the QP died) still ends its request: release the
+    // credit, or a closed-loop sender would stall at its depth forever.
+    if (outstanding_ > 0) --outstanding_;
+    credit_->fire();
     if (cqe.status != static_cast<std::uint8_t>(fabric::CqeStatus::kSuccess)) {
       ++metrics_.errors;
       continue;
     }
     const auto resp = ep_.domain->memory().read_obj<ResponseHeader>(
         ep_.slot_addr(cqe.imm_data, config_.buffer_bytes));
-    const double latency_us = sim::to_us(sim.now() - resp.client_ts);
     ++metrics_.received;
-    if (outstanding_ > 0) --outstanding_;
-    credit_->fire();
     if (sim.now() >= config_.metrics_start) {
-      metrics_.latency_us.add(latency_us);
+      metrics_.latency_us.add(sim::to_us(sim.now() - resp.client_ts));
     }
   }
 }

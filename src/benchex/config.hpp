@@ -53,11 +53,15 @@ struct BenchExConfig {
 
   std::uint64_t seed = 1;
 
+  /// Bytes of one endpoint's message ring.
+  [[nodiscard]] std::size_t ring_bytes() const {
+    return std::size_t{buffer_bytes} * ring_slots;
+  }
+
   /// Guest pages needed for rings + headroom.
   [[nodiscard]] std::size_t guest_pages() const {
-    const std::size_t ring = std::size_t{buffer_bytes} * ring_slots;
     const std::size_t cq = std::size_t{cq_entries} * 32 * 2;
-    return (2 * ring + cq) / 4096 + 64;
+    return (2 * ring_bytes() + cq) / 4096 + 64;
   }
 };
 

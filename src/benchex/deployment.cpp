@@ -1,34 +1,10 @@
 #include "benchex/deployment.hpp"
 
-#include "qos/config.hpp"
-
 namespace resex::benchex {
-
-Endpoint BenchPair::make_endpoint(fabric::Hca& hca, hv::Domain& domain,
-                                  const BenchExConfig& config) {
-  Endpoint ep;
-  ep.domain = &domain;
-  ep.verbs = std::make_unique<fabric::Verbs>(hca, domain);
-  ep.pd = hca.alloc_pd(domain);
-  ep.send_cq = &hca.create_cq(domain, config.cq_entries);
-  ep.recv_cq = &hca.create_cq(domain, config.cq_entries);
-  ep.qp = &hca.create_qp(domain, ep.pd, *ep.send_cq, *ep.recv_cq);
-  // BenchEx request/response traffic is the latency class (SL 0 is also the
-  // default; stated explicitly because this QP's class is a contract).
-  ep.qp->set_service_level(qos::kLatencySl);
-  const std::size_t ring_bytes =
-      std::size_t{config.buffer_bytes} * config.ring_slots;
-  ep.ring_base = domain.allocator().allocate(ring_bytes, mem::kPageSize);
-  ep.ring_mr = hca.reg_mr(ep.pd, domain, ep.ring_base, ring_bytes,
-                          mem::Access::kLocalWrite |
-                              mem::Access::kRemoteWrite |
-                              mem::Access::kRemoteRead);
-  return ep;
-}
 
 BenchPair::BenchPair(fabric::Hca& server_hca, fabric::Hca& client_hca,
                      const BenchExConfig& config, std::string name,
-                     bool with_agent)
+                     bool with_agent, Stamp stamp)
     : config_(config), name_(std::move(name)) {
   hv::Domain& sdom = server_hca.node().create_domain(
       {.name = name_ + "/server", .mem_pages = config.guest_pages()});
@@ -37,17 +13,11 @@ BenchPair::BenchPair(fabric::Hca& server_hca, fabric::Hca& client_hca,
 
   Endpoint sep = make_endpoint(server_hca, sdom, config_);
   Endpoint cep = make_endpoint(client_hca, cdom, config_);
-
-  // Out-of-band ring exchange (real apps do this over a TCP bootstrap).
-  sep.peer_ring_base = cep.ring_base;
-  sep.peer_rkey = cep.ring_mr.rkey;
-  cep.peer_ring_base = sep.ring_base;
-  cep.peer_rkey = sep.ring_mr.rkey;
-  fabric::Fabric::connect(*sep.qp, *cep.qp);
+  connect(sep, cep);
 
   server_ = std::make_unique<Server>(std::move(sep), config_,
                                      with_agent ? &agent_ : nullptr);
-  client_ = std::make_unique<Client>(std::move(cep), config_);
+  client_ = std::make_unique<Client>(std::move(cep), config_, stamp);
 }
 
 void BenchPair::start() {

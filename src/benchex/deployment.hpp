@@ -2,7 +2,9 @@
 // Wires one BenchEx server/client pair into a simulated testbed: creates the
 // two guest domains (server on one node, client on the other, as in the
 // paper's two-machine setup), performs the verbs control-path setup, and
-// exchanges ring coordinates out-of-band.
+// exchanges ring coordinates out-of-band. The two-node testbed stamps
+// requests at send time; cluster::Service builds its migratable service on
+// a pair that stamps intended arrival times.
 
 #include <memory>
 #include <string>
@@ -17,16 +19,20 @@ class BenchPair {
  public:
   /// Build a pair named `name`: the server VM lives on `server_hca`'s node,
   /// the client VM on `client_hca`'s node. `with_agent` attaches the in-VM
-  /// latency reporting agent (required for the IOShares policy).
+  /// latency reporting agent (required for the IOShares policy); `stamp`
+  /// picks the client's latency clock.
   BenchPair(fabric::Hca& server_hca, fabric::Hca& client_hca,
-            const BenchExConfig& config, std::string name,
-            bool with_agent = true);
+            const BenchExConfig& config, std::string name, bool with_agent,
+            Stamp stamp);
 
-  /// Spawn the server loop and client sender/receiver onto the simulation.
+  /// Spawn the server loop and client receiver/sender onto the simulation.
+  /// Idempotent.
   void start();
 
   [[nodiscard]] Server& server() noexcept { return *server_; }
+  [[nodiscard]] const Server& server() const noexcept { return *server_; }
   [[nodiscard]] Client& client() noexcept { return *client_; }
+  [[nodiscard]] const Client& client() const noexcept { return *client_; }
   [[nodiscard]] LatencyAgent& agent() noexcept { return agent_; }
   [[nodiscard]] hv::Domain& server_domain() noexcept {
     return *server_->endpoint().domain;
@@ -41,9 +47,6 @@ class BenchPair {
   [[nodiscard]] bool started() const noexcept { return started_; }
 
  private:
-  static Endpoint make_endpoint(fabric::Hca& hca, hv::Domain& domain,
-                                const BenchExConfig& config);
-
   BenchExConfig config_;
   std::string name_;
   LatencyAgent agent_;

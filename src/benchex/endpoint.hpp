@@ -6,7 +6,9 @@
 #include <cstdint>
 #include <memory>
 
+#include "benchex/config.hpp"
 #include "fabric/verbs.hpp"
+#include "sim/task.hpp"
 
 namespace resex::benchex {
 
@@ -33,5 +35,21 @@ struct Endpoint {
     return peer_ring_base + std::uint64_t{slot} * buffer_bytes;
   }
 };
+
+/// Set up `domain`'s endpoint on `hca`: verbs context, PD, send and receive
+/// CQs, a latency-class QP and the registered ring. The control verbs are
+/// called directly, so deployment-time setup costs no simulated time (a
+/// live migration's re-setup pays the split-driver trips instead; see
+/// cluster::Service::reattach_server).
+[[nodiscard]] Endpoint make_endpoint(fabric::Hca& hca, hv::Domain& domain,
+                                     const BenchExConfig& config);
+
+/// Exchange ring coordinates out-of-band (real apps do this over a TCP
+/// bootstrap) and connect the two QPs.
+void connect(Endpoint& server, Endpoint& client);
+
+/// Post one receive credit per ring slot.
+[[nodiscard]] sim::Task post_ring_receives(Endpoint& ep,
+                                           std::uint32_t ring_slots);
 
 }  // namespace resex::benchex

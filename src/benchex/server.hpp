@@ -8,8 +8,11 @@
 //           (queueing + polling delay),
 //   CTime — financial processing (real pricing math, simulated CPU cost),
 //   WTime — response posted -> its completion observed (I/O wait).
+// A flushed or errored receive (its QP died) is no request: the server
+// recycles the credit and skips it.
 
 #include <cstdint>
+#include <deque>
 
 #include "benchex/config.hpp"
 #include "benchex/endpoint.hpp"
@@ -33,25 +36,39 @@ struct ServerMetrics {
 class Server {
  public:
   Server(Endpoint endpoint, const BenchExConfig& config,
-         LatencyAgent* agent = nullptr)
-      : ep_(std::move(endpoint)), config_(config), agent_(agent),
-        processor_(config.seed) {}
+         LatencyAgent* agent = nullptr);
 
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// The main server loop; spawn onto the simulation. Runs forever (torn
-  /// down with the simulation).
+  /// The FCFS loop on the current endpoint; spawn onto the simulation. It
+  /// stocks the receive queue first (unless move_to did) and runs forever
+  /// (torn down with the simulation).
   [[nodiscard]] sim::Task run();
+
+  /// Live migration: stock `endpoint`'s receive queue and make it current,
+  /// so the next run() serves it. Metrics, pricing engine and agent carry
+  /// over, so the request stream stays one series across moves. Earlier
+  /// endpoints stay alive for the loops still parked on their CQs.
+  [[nodiscard]] sim::Task move_to(Endpoint endpoint);
 
   [[nodiscard]] const ServerMetrics& metrics() const noexcept {
     return metrics_;
   }
-  [[nodiscard]] Endpoint& endpoint() noexcept { return ep_; }
+  [[nodiscard]] Endpoint& endpoint() noexcept { return endpoints_.back(); }
+  /// Completed moves (endpoints beyond the first).
+  [[nodiscard]] std::uint32_t moves() const noexcept {
+    return static_cast<std::uint32_t>(endpoints_.size()) - 1;
+  }
   [[nodiscard]] LatencyAgent* agent() noexcept { return agent_; }
 
  private:
-  Endpoint ep_;
+  [[nodiscard]] sim::Task serve(Endpoint& ep, bool stock);
+
+  // Every endpoint served, oldest first (a deque keeps their addresses
+  // stable for the loops that hold them).
+  std::deque<Endpoint> endpoints_;
+  bool stocked_ = false;  // the current endpoint's receives are posted
   BenchExConfig config_;
   LatencyAgent* agent_;
   finance::RequestProcessor processor_;

@@ -1,310 +1,51 @@
 #include "cluster/service.hpp"
 
-#include <algorithm>
-
 #include "obs/trace.hpp"
+#include "qos/config.hpp"
 
 namespace resex::cluster {
-
-benchex::Endpoint Service::make_endpoint(fabric::Hca& hca, hv::Domain& domain,
-                                         const benchex::BenchExConfig& config) {
-  benchex::Endpoint ep;
-  ep.domain = &domain;
-  ep.verbs = std::make_unique<fabric::Verbs>(hca, domain);
-  ep.pd = hca.alloc_pd(domain);
-  ep.send_cq = &hca.create_cq(domain, config.cq_entries);
-  ep.recv_cq = &hca.create_cq(domain, config.cq_entries);
-  ep.qp = &hca.create_qp(domain, ep.pd, *ep.send_cq, *ep.recv_cq);
-  const std::size_t ring_bytes =
-      std::size_t{config.buffer_bytes} * config.ring_slots;
-  ep.ring_base = domain.allocator().allocate(ring_bytes, mem::kPageSize);
-  ep.ring_mr = hca.reg_mr(ep.pd, domain, ep.ring_base, ring_bytes,
-                          mem::Access::kLocalWrite |
-                              mem::Access::kRemoteWrite |
-                              mem::Access::kRemoteRead);
-  return ep;
-}
 
 Service::Service(fabric::Hca& server_hca, fabric::Hca& client_hca,
                  const benchex::BenchExConfig& config, std::string name,
                  bool with_agent)
-    : config_(config), name_(std::move(name)), with_agent_(with_agent),
-      client_hca_(&client_hca), processor_(config.seed),
-      arrivals_(config.arrivals, sim::Rng::stream(config.seed, 0xC11)),
-      mix_rng_(sim::Rng::stream(config.seed, 0xC12)),
-      mix_(trace::RequestMix::exchange_default()),
-      gate_(std::make_unique<sim::Trigger>(
-          server_hca.node().simulation())) {
-  hv::Domain& sdom = server_hca.node().create_domain(
-      {.name = name_ + "/server", .mem_pages = config_.guest_pages()});
-  hv::Domain& cdom = client_hca.node().create_domain(
-      {.name = name_ + "/client", .mem_pages = config_.guest_pages()});
-
-  auto inc = std::make_unique<Incarnation>();
-  inc->hca = &server_hca;
-  inc->ep = make_endpoint(server_hca, sdom, config_);
-  client_ep_ = make_endpoint(client_hca, cdom, config_);
-
-  inc->ep.peer_ring_base = client_ep_.ring_base;
-  inc->ep.peer_rkey = client_ep_.ring_mr.rkey;
-  client_ep_.peer_ring_base = inc->ep.ring_base;
-  client_ep_.peer_rkey = inc->ep.ring_mr.rkey;
-  fabric::Fabric::connect(*inc->ep.qp, *client_ep_.qp);
-  incarnations_.push_back(std::move(inc));
-}
-
-std::uint32_t Service::server_node_id() const noexcept {
-  return incarnations_.back()->hca->id();
-}
-
-void Service::start() {
-  if (started_) return;
-  started_ = true;
-  auto& sim = client_ep_.verbs->vcpu().simulation();
-  sim.spawn(server_loop(*incarnations_.back()));
-  sim.spawn(client_receiver());
-  sim.spawn(client_sender());
-}
-
-std::uint32_t Service::queue_depth_limit() const {
-  if (config_.queue_depth != 0) {
-    return std::min(config_.queue_depth, config_.ring_slots);
-  }
-  return config_.mode == benchex::LoadMode::kClosedLoop ? 1
-                                                        : config_.ring_slots;
-}
-
-void Service::suspend_client() {
-  suspended_ = true;
-}
-
-void Service::resume_client() {
-  if (!suspended_) return;
-  suspended_ = false;
-  gate_->fire();
-}
-
-sim::Task Service::wait_quiescent() {
-  while (outstanding_ > 0) co_await gate_->wait();
-}
-
-sim::Task Service::server_loop(Incarnation& inc) {
-  auto& verbs = *inc.ep.verbs;
-  auto& sim = verbs.vcpu().simulation();
-
-  if (!inc.recvs_stocked) {
-    inc.recvs_stocked = true;
-    for (std::uint32_t i = 0; i < config_.ring_slots; ++i) {
-      co_await verbs.post_recv(*inc.ep.qp, fabric::RecvWr{.wr_id = i});
-    }
-  }
-
-  for (;;) {
-    const fabric::Cqe req_cqe = co_await verbs.next_cqe(*inc.ep.recv_cq);
-    if (req_cqe.status !=
-        static_cast<std::uint8_t>(fabric::CqeStatus::kSuccess)) {
-      // Flushed/errored receive (fault injection): recycle the credit.
-      co_await verbs.post_recv(*inc.ep.qp,
-                               fabric::RecvWr{.wr_id = req_cqe.wr_id});
-      continue;
-    }
-    const sim::SimTime arrived = req_cqe.timestamp_ns;
-    const sim::SimTime dequeued = sim.now();
-    co_await verbs.post_recv(*inc.ep.qp,
-                             fabric::RecvWr{.wr_id = req_cqe.wr_id});
-
-    const std::uint32_t slot = req_cqe.imm_data;
-    const auto req = inc.ep.domain->memory().read_obj<benchex::RequestHeader>(
-        inc.ep.slot_addr(slot, config_.buffer_bytes));
-
-    const auto result = processor_.process(
-        static_cast<finance::RequestKind>(req.kind), req.instruments);
-    co_await verbs.vcpu().consume(result.cpu_cost);
-    const sim::SimTime processed = sim.now();
-
-    benchex::ResponseHeader resp;
-    resp.seq = req.seq;
-    resp.client_ts = req.client_ts;
-    resp.server_done_ts = processed;
-    resp.checksum = result.checksum;
-
-    fabric::SendWr wr;
-    wr.wr_id = req.seq;
-    wr.opcode = fabric::Opcode::kRdmaWriteWithImm;
-    wr.local_addr = inc.ep.slot_addr(slot, config_.buffer_bytes);
-    wr.lkey = inc.ep.ring_mr.lkey;
-    wr.length = config_.buffer_bytes;
-    wr.remote_addr = inc.ep.peer_slot_addr(slot, config_.buffer_bytes);
-    wr.rkey = inc.ep.peer_rkey;
-    wr.imm_data = slot;
-    wr.header = benchex::to_bytes(resp);
-    co_await verbs.post_send(*inc.ep.qp, wr);
-
-    const fabric::Cqe send_cqe = co_await verbs.next_cqe(*inc.ep.send_cq);
-    const sim::SimTime completed = sim.now();
-    if (send_cqe.status !=
-        static_cast<std::uint8_t>(fabric::CqeStatus::kSuccess)) {
-      ++server_metrics_.send_errors;
-      continue;
-    }
-
-    const double ptime = sim::to_us(dequeued - arrived);
-    const double ctime = sim::to_us(processed - dequeued);
-    const double wtime = sim::to_us(completed - processed);
-    double total = ptime + ctime + wtime;
-
-    if (with_agent_) {
-      co_await verbs.vcpu().consume(config_.agent_report_cost);
-      total += sim::to_us(config_.agent_report_cost);
-      agent_.report(total);
-    }
-
-    ++server_metrics_.requests;
-    server_metrics_.checksum += result.checksum;
-    if (sim.now() >= config_.metrics_start) {
-      server_metrics_.ptime_us.add(ptime);
-      server_metrics_.ctime_us.add(ctime);
-      server_metrics_.wtime_us.add(wtime);
-      server_metrics_.total_us.add(total);
-    }
-  }
-}
-
-sim::Task Service::send_one(sim::SimTime intended_ts) {
-  auto& verbs = *client_ep_.verbs;
-
-  finance::RequestKind kind = config_.kind;
-  std::uint32_t instruments = config_.instruments;
-  if (config_.use_mix) {
-    const auto draw = mix_.sample(mix_rng_);
-    kind = draw.kind;
-    instruments = draw.instruments;
-  }
-
-  const std::uint64_t seq = next_seq_++;
-  const auto slot = static_cast<std::uint32_t>(seq % config_.ring_slots);
-
-  benchex::RequestHeader req;
-  req.seq = seq;
-  req.client_ts = intended_ts;
-  req.instruments = instruments;
-  req.kind = static_cast<std::uint8_t>(kind);
-  req.payload_len = config_.buffer_bytes;
-
-  fabric::SendWr wr;
-  wr.wr_id = seq;
-  wr.opcode = fabric::Opcode::kRdmaWriteWithImm;
-  wr.local_addr = client_ep_.slot_addr(slot, config_.buffer_bytes);
-  wr.lkey = client_ep_.ring_mr.lkey;
-  wr.length = config_.buffer_bytes;
-  wr.remote_addr = client_ep_.peer_slot_addr(slot, config_.buffer_bytes);
-  wr.rkey = client_ep_.peer_rkey;
-  wr.imm_data = slot;
-  wr.header = benchex::to_bytes(req);
-  wr.signaled = false;
-
-  ++outstanding_;
-  ++client_metrics_.sent;
-  co_await verbs.post_send(*client_ep_.qp, wr);
-}
-
-sim::Task Service::client_sender() {
-  auto& sim = client_ep_.verbs->vcpu().simulation();
-  const std::uint32_t depth = queue_depth_limit();
-
-  if (config_.mode == benchex::LoadMode::kOpenLoop) {
-    sim::SimTime next_at = sim.now() + arrivals_.initial_phase();
-    for (;;) {
-      next_at += arrivals_.next_gap();
-      co_await sim.at(next_at);
-      while (suspended_ || outstanding_ >= depth) co_await gate_->wait();
-      co_await send_one(next_at);
-    }
-  } else {
-    for (;;) {
-      while (suspended_ || outstanding_ >= depth) co_await gate_->wait();
-      if (config_.think_time > 0) co_await sim.delay(config_.think_time);
-      co_await send_one(sim.now());
-    }
-  }
-}
-
-sim::Task Service::client_receiver() {
-  auto& verbs = *client_ep_.verbs;
-  auto& sim = verbs.vcpu().simulation();
-
-  for (std::uint32_t i = 0; i < config_.ring_slots; ++i) {
-    co_await verbs.post_recv(*client_ep_.qp, fabric::RecvWr{.wr_id = i});
-  }
-
-  for (;;) {
-    const fabric::Cqe cqe = co_await verbs.next_cqe(*client_ep_.recv_cq);
-    co_await verbs.post_recv(*client_ep_.qp,
-                             fabric::RecvWr{.wr_id = cqe.wr_id});
-    if (cqe.status != static_cast<std::uint8_t>(fabric::CqeStatus::kSuccess)) {
-      ++client_metrics_.errors;
-      if (outstanding_ > 0) --outstanding_;
-      gate_->fire();
-      continue;
-    }
-    const auto resp = client_ep_.domain->memory().read_obj<
-        benchex::ResponseHeader>(
-        client_ep_.slot_addr(cqe.imm_data, config_.buffer_bytes));
-    const double latency_us = sim::to_us(sim.now() - resp.client_ts);
-    ++client_metrics_.received;
-    if (outstanding_ > 0) --outstanding_;
-    gate_->fire();
-    if (sim.now() >= config_.metrics_start) {
-      client_metrics_.latency_us.add(latency_us);
-    }
-  }
-}
+    : pair_(server_hca, client_hca, config, std::move(name), with_agent,
+            benchex::Stamp::kIntendedArrival) {}
 
 sim::Task Service::reattach_server(fabric::Hca& dst) {
   auto& sim = dst.node().simulation();
+  const benchex::BenchExConfig& cfg = config();
 
-  auto inc = std::make_unique<Incarnation>();
-  inc->hca = &dst;
+  benchex::Endpoint ep;
   hv::Domain& dom = dst.node().create_domain(
-      {.name = name_ + "/server.m" + std::to_string(incarnations_.size()),
-       .mem_pages = config_.guest_pages()});
-  inc->ep.domain = &dom;
-  inc->ep.verbs = std::make_unique<fabric::Verbs>(dst, dom);
-  auto& verbs = *inc->ep.verbs;
+      {.name = name() + "/server.m" + std::to_string(migrations() + 1),
+       .mem_pages = cfg.guest_pages()});
+  ep.domain = &dom;
+  ep.verbs = std::make_unique<fabric::Verbs>(dst, dom);
+  auto& verbs = *ep.verbs;
 
   // Control path on the destination: every verb pays the split-driver trip.
-  inc->ep.pd = co_await verbs.alloc_pd();
-  inc->ep.send_cq = co_await verbs.create_cq(config_.cq_entries);
-  inc->ep.recv_cq = co_await verbs.create_cq(config_.cq_entries);
-  inc->ep.qp = co_await verbs.create_qp(inc->ep.pd, *inc->ep.send_cq,
-                                        *inc->ep.recv_cq);
-  const std::size_t ring_bytes =
-      std::size_t{config_.buffer_bytes} * config_.ring_slots;
-  inc->ep.ring_base = dom.allocator().allocate(ring_bytes, mem::kPageSize);
-  inc->ep.ring_mr = co_await verbs.reg_mr(
-      inc->ep.pd, inc->ep.ring_base, ring_bytes,
+  ep.pd = co_await verbs.alloc_pd();
+  ep.send_cq = co_await verbs.create_cq(cfg.cq_entries);
+  ep.recv_cq = co_await verbs.create_cq(cfg.cq_entries);
+  ep.qp = co_await verbs.create_qp(ep.pd, *ep.send_cq, *ep.recv_cq);
+  ep.qp->set_service_level(qos::kLatencySl);
+  ep.ring_base = dom.allocator().allocate(cfg.ring_bytes(), mem::kPageSize);
+  ep.ring_mr = co_await verbs.reg_mr(
+      ep.pd, ep.ring_base, cfg.ring_bytes(),
       mem::Access::kLocalWrite | mem::Access::kRemoteWrite |
           mem::Access::kRemoteRead);
 
-  inc->ep.peer_ring_base = client_ep_.ring_base;
-  inc->ep.peer_rkey = client_ep_.ring_mr.rkey;
-  client_ep_.peer_ring_base = inc->ep.ring_base;
-  client_ep_.peer_rkey = inc->ep.ring_mr.rkey;
   // Re-point both ends; the old server QP keeps its stale peer but never
   // transmits again.
-  fabric::Fabric::connect(*inc->ep.qp, *client_ep_.qp);
-
-  inc->recvs_stocked = true;
-  for (std::uint32_t i = 0; i < config_.ring_slots; ++i) {
-    co_await verbs.post_recv(*inc->ep.qp, fabric::RecvWr{.wr_id = i});
-  }
+  benchex::connect(ep, pair_.client().endpoint());
+  benchex::Server& server = pair_.server();
+  co_await server.move_to(std::move(ep));
 
   RESEX_TRACE_INSTANT(sim.tracer(), "cluster.reattach", "cluster",
                       {"node", static_cast<double>(dst.id())},
-                      {"qp", static_cast<double>(inc->ep.qp->num())});
+                      {"qp", static_cast<double>(server.endpoint().qp->num())});
 
-  incarnations_.push_back(std::move(inc));
-  sim.spawn(server_loop(*incarnations_.back()));
+  sim.spawn(server.run());
 }
 
 }  // namespace resex::cluster

@@ -3,39 +3,28 @@
 // client, deployed on cluster nodes and built so the server can be moved
 // while the client keeps its connection.
 //
-// The server side lives in "incarnations": migration creates a fresh domain
-// + verbs context + ring on the destination node (every control verb paying
-// the split-driver hypercall cost there), re-points the client's QP at the
-// new server QP, and retires the old domain. Metrics, the latency agent and
-// the pricing engine are owned by the Service, so the request stream is one
-// continuous series across moves.
+// It is a benchex::BenchPair (the same server and client loops as the
+// two-node testbed) plus the migration protocol. A move stands up a fresh
+// domain + verbs context + ring on the destination node (every control verb
+// paying the split-driver hypercall cost there), re-points the client's QP
+// at the new server QP and hands the new endpoint to the same
+// benchex::Server, so metrics, the latency agent and the pricing engine
+// carry over and the request stream is one continuous series across moves.
+// The old incarnation is abandoned; the server keeps it alive.
 //
-// Latency is measured coordinated-omission-free: an open-loop request is
-// stamped with its *intended* arrival time, so requests that queue behind a
-// migration blackout (or behind exhausted ring credits) carry the stall in
-// their reported latency instead of silently shifting the load.
+// The one difference from the testbed's pairs is the stamp: latency is
+// measured coordinated-omission-free, an open-loop request stamped with its
+// *intended* arrival time, so requests that queue behind a migration
+// blackout (or behind exhausted ring credits) carry the stall in their
+// reported latency instead of silently shifting the load.
 
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
 
-#include "benchex/config.hpp"
-#include "benchex/endpoint.hpp"
-#include "benchex/latency_agent.hpp"
-#include "benchex/server.hpp"
-#include "finance/workload.hpp"
+#include "benchex/deployment.hpp"
 #include "sim/task.hpp"
-#include "trace/workload.hpp"
 
 namespace resex::cluster {
-
-struct ServiceClientMetrics {
-  sim::Samples latency_us;
-  std::uint64_t sent = 0;
-  std::uint64_t received = 0;
-  std::uint64_t errors = 0;
-};
 
 class Service {
  public:
@@ -45,99 +34,59 @@ class Service {
           const benchex::BenchExConfig& config, std::string name,
           bool with_agent = true);
 
-  Service(const Service&) = delete;
-  Service& operator=(const Service&) = delete;
-
   /// Spawn the server loop and both client loops. Idempotent.
-  void start();
+  void start() { pair_.start(); }
 
-  [[nodiscard]] const std::string& name() const noexcept { return name_; }
+  [[nodiscard]] const std::string& name() const noexcept {
+    return pair_.name();
+  }
   [[nodiscard]] const benchex::BenchExConfig& config() const noexcept {
-    return config_;
+    return pair_.config();
   }
   [[nodiscard]] fabric::Hca& server_hca() noexcept {
-    return *incarnations_.back()->hca;
+    return pair_.server().endpoint().verbs->hca();
   }
-  [[nodiscard]] fabric::Hca& client_hca() noexcept { return *client_hca_; }
   /// Node the server currently runs on (HCA ids equal cluster node indices).
-  [[nodiscard]] std::uint32_t server_node_id() const noexcept;
+  [[nodiscard]] std::uint32_t server_node_id() noexcept {
+    return server_hca().id();
+  }
   [[nodiscard]] hv::Domain& server_domain() noexcept {
-    return *incarnations_.back()->ep.domain;
+    return pair_.server_domain();
   }
   [[nodiscard]] benchex::LatencyAgent* agent() noexcept {
-    return with_agent_ ? &agent_ : nullptr;
+    return pair_.server().agent();
   }
   [[nodiscard]] const benchex::ServerMetrics& server_metrics() const noexcept {
-    return server_metrics_;
+    return pair_.server().metrics();
   }
-  [[nodiscard]] const ServiceClientMetrics& client_metrics() const noexcept {
-    return client_metrics_;
+  [[nodiscard]] const benchex::ClientMetrics& client_metrics() const noexcept {
+    return pair_.client().metrics();
   }
   /// Completed moves (incarnations beyond the first).
   [[nodiscard]] std::uint32_t migrations() const noexcept {
-    return static_cast<std::uint32_t>(incarnations_.size()) - 1;
+    return pair_.server().moves();
   }
   [[nodiscard]] std::uint32_t outstanding() const noexcept {
-    return outstanding_;
+    return pair_.client().outstanding();
   }
 
   // --- migration protocol (driven by MigrationEngine) -----------------------
 
   /// Stop posting new requests. Open-loop arrivals keep accruing, so the
   /// post-resume burst carries the blackout in its latency samples.
-  void suspend_client();
+  void suspend_client() noexcept { pair_.client().suspend(); }
   /// Resume posting (wakes a sender blocked on the suspend gate).
-  void resume_client();
-  [[nodiscard]] bool suspended() const noexcept { return suspended_; }
-  /// Await until no requests are in flight. Suspend first, or it may never
-  /// return.
-  [[nodiscard]] sim::Task wait_quiescent();
+  void resume_client() { pair_.client().resume(); }
 
   /// Stand the server up on `dst`: new domain, verbs context, CQs, QP and
   /// ring (each control verb paying the hypercall round trip on the
-  /// destination), receive credits posted, client QP re-pointed, new server
+  /// destination), client QP re-pointed, receive credits posted, new server
   /// loop spawned. The old incarnation is kept alive but abandoned; pausing
   /// its VCPU and retiring its domain is the caller's job.
   [[nodiscard]] sim::Task reattach_server(fabric::Hca& dst);
 
  private:
-  struct Incarnation {
-    fabric::Hca* hca = nullptr;
-    benchex::Endpoint ep;
-    bool recvs_stocked = false;
-  };
-
-  [[nodiscard]] static benchex::Endpoint make_endpoint(
-      fabric::Hca& hca, hv::Domain& domain,
-      const benchex::BenchExConfig& config);
-  [[nodiscard]] std::uint32_t queue_depth_limit() const;
-  [[nodiscard]] sim::Task server_loop(Incarnation& inc);
-  [[nodiscard]] sim::Task client_sender();
-  [[nodiscard]] sim::Task client_receiver();
-  [[nodiscard]] sim::Task send_one(sim::SimTime intended_ts);
-
-  benchex::BenchExConfig config_;
-  std::string name_;
-  bool with_agent_;
-  fabric::Hca* client_hca_;
-
-  // Heap-allocated so Endpoint addresses stay stable while loops run.
-  std::vector<std::unique_ptr<Incarnation>> incarnations_;
-  benchex::Endpoint client_ep_;
-
-  finance::RequestProcessor processor_;
-  benchex::LatencyAgent agent_;
-  benchex::ServerMetrics server_metrics_;
-  ServiceClientMetrics client_metrics_;
-
-  trace::ArrivalProcess arrivals_;
-  sim::Rng mix_rng_;
-  trace::RequestMix mix_;
-  std::uint64_t next_seq_ = 0;
-  std::uint32_t outstanding_ = 0;
-  bool suspended_ = false;
-  std::unique_ptr<sim::Trigger> gate_;  // fired per response + on resume
-  bool started_ = false;
+  benchex::BenchPair pair_;
 };
 
 }  // namespace resex::cluster

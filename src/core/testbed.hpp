@@ -51,7 +51,8 @@ class Testbed {
                                   const std::string& name,
                                   bool with_agent = true) {
     pairs_.push_back(std::make_unique<benchex::BenchPair>(
-        *hca_a_, *hca_b_, config, name, with_agent));
+        *hca_a_, *hca_b_, config, name, with_agent,
+        benchex::Stamp::kSendTime));
     pairs_.back()->start();
     return *pairs_.back();
   }

@@ -210,10 +210,6 @@ RunnerOptions parse_options(int argc, const char* const* argv) {
       throw std::invalid_argument("--vl-hi-limit: requires --qos");
     }
   }
-  if (opts.ecmp_seed_set && !opts.routing.multipath()) {
-    throw std::invalid_argument(
-        "--ecmp-seed: requires --routing ecmp or --routing adaptive");
-  }
   if (opts.routing.vl_shift && !opts.qos.enabled) {
     throw std::invalid_argument("--vl-shift: requires --qos (lane headroom)");
   }

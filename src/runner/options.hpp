@@ -21,7 +21,8 @@
 //   --vl-weights SPEC    per-lane WRR weights, e.g. 4,1 (needs --qos)
 //   --vl-hi-limit N      high-table burst before a forced low-table grant
 //   --routing MODE       static | ecmp | adaptive multipath forwarding
-//   --ecmp-seed S        flow-consistent hash seed (needs --routing != static)
+//   --ecmp-seed S        flow-consistent hash seed (a scenario sweep also
+//                        needs --routing != static)
 //   --vl-shift           deadlock-free lane shifts on cyclic routes (needs --qos)
 //   --coll-ranks/--coll-bytes/--coll-chunk/--coll-algo/--coll-iters
 //                        collective-workload overrides (collective benches
@@ -89,7 +90,8 @@ struct RunnerOptions {
   /// Multipath routing / lane shifts (--routing, --ecmp-seed, --vl-shift).
   /// Defaults off: static single-path forwarding, byte-identical output.
   routing::RoutingConfig routing{};
-  /// --ecmp-seed was passed explicitly (it requires a multipath mode).
+  /// --ecmp-seed was passed explicitly (a scenario sweep rejects it without
+  /// a multipath mode; see apply_overrides).
   bool ecmp_seed_set = false;
   bool help = false;
 

@@ -29,9 +29,14 @@ namespace resex::runner {
 /// Apply the command line's scenario overrides to one point's config:
 /// --seed, --faults, the congestion flags, --qos, and --routing/--ecmp-seed/
 /// --vl-shift. Throws std::invalid_argument for routing flags on a config
-/// without a routing field: the two-node testbed has one path.
+/// without a routing field (the two-node testbed has one path), and for
+/// --ecmp-seed without the multipath --routing that would read it.
 template <typename Config>
 void apply_overrides(Config& config, const RunnerOptions& opts) {
+  if (opts.ecmp_seed_set && !opts.routing.multipath()) {
+    throw std::invalid_argument(
+        "--ecmp-seed: requires --routing ecmp or --routing adaptive");
+  }
   if (opts.seed.has_value()) config.seed = *opts.seed;
   if (!opts.faults.empty()) config.faults = opts.faults;
   if (opts.congestion_set()) {

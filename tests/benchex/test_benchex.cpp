@@ -119,6 +119,123 @@ TEST(BenchExBase, DeterministicAcrossRuns) {
   EXPECT_DOUBLE_EQ(a.second, b.second);
 }
 
+// --- faults: a dead QP ends requests, it does not create them --------------
+
+TEST(BenchExFaults, ServerSkipsFlushedReceives) {
+  // Kill the server's QP between requests: its receive queue is flushed.
+  // A flushed receive carries no request, so the server must not price
+  // stale slot contents or post a response on the dead QP.
+  Testbed tb;
+  auto& pair = tb.deploy_pair(reporting_config(), "64KB");
+  tb.sim().run_until(50_ms);
+  const auto requests = pair.server().metrics().requests;
+  auto& qp = *pair.server().endpoint().qp;
+  qp.set_error();
+  tb.hca_a().flush_recv_queue(qp);
+  tb.sim().run_until(80_ms);
+  const auto& sm = pair.server().metrics();
+  EXPECT_EQ(sm.send_errors, 0u);
+  EXPECT_EQ(sm.requests, requests);
+}
+
+TEST(BenchExFaults, ErroredResponseReleasesItsCredit) {
+  // Kill a closed-loop client's QP: each flushed receive ends a request, so
+  // the sender gets its credits back instead of stalling at its depth.
+  Testbed tb;
+  auto& pair = tb.deploy_pair(interferer_config(256 * 1024, 2), "intf");
+  tb.sim().run_until(20_ms);
+  const auto sent = pair.client().metrics().sent;
+  auto& qp = *pair.client().endpoint().qp;
+  qp.set_error();
+  tb.hca_b().flush_recv_queue(qp);
+  tb.sim().run_until(40_ms);
+  const auto& cm = pair.client().metrics();
+  EXPECT_EQ(cm.errors, pair.config().ring_slots);
+  EXPECT_GT(cm.sent, sent);
+}
+
+TEST(BenchExFaults, SuspendedClientQuiescesThroughErroredResponses) {
+  Testbed tb;
+  auto& pair = tb.deploy_pair(interferer_config(256 * 1024, 2), "intf");
+  tb.sim().run_until(20_ms);
+  Client& client = pair.client();
+  client.suspend();
+  const auto sent = client.metrics().sent;
+  auto& qp = *client.endpoint().qp;
+  qp.set_error();
+  tb.hca_b().flush_recv_queue(qp);
+  bool quiescent = false;
+  tb.sim().spawn([](Client& c, bool& done) -> sim::Task {
+    co_await c.wait_quiescent();
+    done = true;
+  }(client, quiescent));
+  tb.sim().run_until(40_ms);
+  EXPECT_TRUE(quiescent);
+  EXPECT_EQ(client.outstanding(), 0u);
+  EXPECT_EQ(client.metrics().sent, sent);  // the gate held
+  client.resume();
+  tb.sim().run_until(41_ms);
+  EXPECT_EQ(client.metrics().sent, sent + 2);
+}
+
+TEST(BenchExMove, ServerKeepsItsMetricsAcrossAMove) {
+  // Move the server to a fresh domain + endpoint mid-run, as a live
+  // migration does: the old loop stays parked on the old CQs and the new
+  // one continues the same metrics series.
+  Testbed tb;
+  auto& pair = tb.deploy_pair(reporting_config(), "64KB");
+  tb.sim().run_until(50_ms);
+  pair.client().suspend();
+  tb.sim().run_until(55_ms);
+  ASSERT_EQ(pair.client().outstanding(), 0u);
+  const auto requests = pair.server().metrics().requests;
+  const auto reports = pair.agent().reports();
+
+  hv::Domain& dom = tb.node_a().create_domain(
+      {.name = "64KB/server.m1", .mem_pages = pair.config().guest_pages()});
+  Endpoint ep = make_endpoint(tb.hca_a(), dom, pair.config());
+  connect(ep, pair.client().endpoint());
+  tb.sim().spawn([](Server& server, Endpoint moved) -> sim::Task {
+    co_await server.move_to(std::move(moved));
+    server.endpoint().verbs->vcpu().simulation().spawn(server.run());
+  }(pair.server(), std::move(ep)));
+  tb.sim().run_until(56_ms);
+  pair.client().resume();
+  tb.sim().run_until(100_ms);
+
+  EXPECT_EQ(pair.server().moves(), 1u);
+  EXPECT_EQ(&pair.server_domain(), &dom);
+  const auto& sm = pair.server().metrics();
+  EXPECT_GT(sm.requests, requests + 50);
+  EXPECT_EQ(sm.send_errors, 0u);
+  EXPECT_GT(pair.agent().reports(), reports);
+  EXPECT_EQ(pair.client().metrics().errors, 0u);
+}
+
+// --- stamping ----------------------------------------------------------------
+
+double max_latency_after_stall(Stamp stamp) {
+  // An open-loop client suspended for 5 ms: its arrivals keep accruing and
+  // go out as a burst on resume.
+  Testbed tb;
+  BenchPair pair(tb.hca_a(), tb.hca_b(), reporting_config(), "64KB", true,
+                 stamp);
+  pair.start();
+  tb.sim().run_until(20_ms);
+  pair.client().suspend();
+  tb.sim().run_until(25_ms);
+  pair.client().resume();
+  tb.sim().run_until(60_ms);
+  return pair.client().metrics().latency_us.max();
+}
+
+TEST(BenchExStamp, IntendedArrivalCarriesTheStallSendTimeDoesNot) {
+  // The first arrival of the stall waits the 5 ms less at most one 0.5 ms
+  // gap; stamped at send time, only the burst's queueing (~1.5 ms) shows.
+  EXPECT_GT(max_latency_after_stall(Stamp::kIntendedArrival), 4000.0);
+  EXPECT_LT(max_latency_after_stall(Stamp::kSendTime), 4000.0);
+}
+
 struct InterferenceResult {
   double mean_us;
   double stddev_us;

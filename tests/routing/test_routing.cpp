@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "../fabric/fabric_fixture.hpp"
+#include "cluster/scenario.hpp"
 #include "cluster/topology.hpp"
 #include "collective/collective.hpp"
 #include "qos/config.hpp"
@@ -326,10 +327,17 @@ TEST(RoutingFlags, ParseAndDemandPrerequisites) {
   const auto shift = parse({"--qos", "--vl-shift"});
   EXPECT_TRUE(shift.routing.vl_shift);
   EXPECT_TRUE(shift.routing_set());
-  // --ecmp-seed needs a multipath mode; --vl-shift needs --qos lanes.
-  EXPECT_THROW(parse({"--ecmp-seed", "7"}), std::invalid_argument);
-  EXPECT_THROW(parse({"--routing", "static", "--ecmp-seed", "7"}),
+  // --vl-shift needs --qos lanes. --ecmp-seed parses alone (a bench that
+  // sets its own routing modes reads only the seed), but a scenario sweep
+  // refuses it without the multipath mode that would read it.
+  EXPECT_EQ(parse({"--ecmp-seed", "7"}).routing.ecmp_seed, 7u);
+  cluster::ClusterScenarioConfig scenario;
+  EXPECT_THROW(runner::apply_overrides(scenario, parse({"--ecmp-seed", "7"})),
                std::invalid_argument);
+  EXPECT_THROW(
+      runner::apply_overrides(
+          scenario, parse({"--routing", "static", "--ecmp-seed", "7"})),
+      std::invalid_argument);
   EXPECT_THROW(parse({"--vl-shift"}), std::invalid_argument);
   EXPECT_THROW(parse({"--routing", "bogus"}), std::invalid_argument);
 }

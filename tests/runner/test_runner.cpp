@@ -157,6 +157,7 @@ TEST(Overrides, RoutingFlagsAreRejectedOnTwoNodeSweeps) {
   const std::vector<std::vector<const char*>> argvs = {
       {"bench", "--routing", "ecmp"},
       {"bench", "--routing", "adaptive", "--ecmp-seed", "3"},
+      {"bench", "--ecmp-seed", "3"},
       {"bench", "--qos", "--vl-shift"}};
   for (const auto& argv : argvs) {
     const auto opts =
